@@ -7,6 +7,19 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Run `cargo test -q <args>` and fail unless some test binary reports at
+# least one passing test. A name filter that matches nothing (say, after
+# a test is renamed) otherwise passes silently with "0 passed".
+run_named() {
+  local out
+  out=$(cargo test -q "$@" 2>&1) || { echo "$out"; return 1; }
+  echo "$out"
+  if ! grep -Eq 'test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+    echo "ci: 'cargo test -q $*' ran no tests" >&2
+    return 1
+  fi
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -24,10 +37,10 @@ cargo test -q
 # sweep, and the deterministic fuzz of Channel::open frame orderings
 # (drop/reorder/duplicate/tamper/resync).
 echo "== fault sweep =="
-cargo test -q -p kshot --test fault_sweep
+run_named -p kshot --test fault_sweep
 
 echo "== channel ordering fuzz =="
-cargo test -q -p kshot-patchserver --test prop_channel_orderings
+run_named -p kshot-patchserver --test prop_channel_orderings
 
 # Fleet gates: the byte-identical-applied-state property (including
 # under an injected fault + retry, across pipeline depths and worker
@@ -37,12 +50,12 @@ cargo test -q -p kshot-patchserver --test prop_channel_orderings
 # pipeline depth 16 on a single worker with digests identical to the
 # sequential run, then writes the benchmark artefact this gate checks.
 echo "== fleet identical-state property =="
-cargo test -q -p kshot-fleet --test prop_fleet_identical
+run_named -p kshot-fleet --test prop_fleet_identical
 
 echo "== shard tail + injection accounting regressions =="
-cargo test -q -p kshot-telemetry tail_
-cargo test -q -p kshot-fleet unfired_injection_plan_is_disarmed_and_accounted_on_success
-cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
+run_named -p kshot-telemetry tail_
+run_named -p kshot-fleet unfired_injection_plan_is_disarmed_and_accounted_on_success
+run_named -p kshot-fleet pipelined_worker_matches_sequential_results
 
 # Health-plane gates: the quantile sketch's documented error bound and
 # merge-order independence over randomized distributions, and the
@@ -50,22 +63,23 @@ cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
 # depths (with deterministic Degraded/Halt verdicts under an injected
 # fault).
 echo "== sketch error-bound property =="
-cargo test -q -p kshot-telemetry --test prop_sketch
+run_named -p kshot-telemetry --test prop_sketch
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
-# root/divergence/frontier round-trip), the fleet fold's merge-equals-
-# sequential-fold property plus the fold-mode campaign tests (fold ==
-# retained summaries, pipelined reorder, streamed roll-up lines
+# root/frontier round-trip), the shard roll-up parser, the fleet fold's
+# unit tests (ordered retire through the reorder buffer, capped dwell
+# anomalies and exemplars, logarithmic resident bytes) plus the campaign
+# fold tests (pipelined reorder, the streamed rollup.jsonl line
 # reconstructing the campaign root), and the cross-scheduler
-# root-vs-digest-vector property with the exact divergence locator.
+# root-vs-digest-vector property.
 echo "== merkle roll-up + outcome folding =="
-cargo test -q -p kshot-telemetry merkle
-cargo test -q -p kshot-telemetry rollup
-cargo test -q -p kshot-fleet fold
-cargo test -q -p kshot --test merkle_rollup
+run_named -p kshot-telemetry merkle
+run_named -p kshot-telemetry rollup
+run_named -p kshot-fleet fold
+run_named -p kshot --test merkle_rollup
 
 echo "== health stream determinism =="
-cargo test -q -p kshot-fleet --test health_stream
+run_named -p kshot-fleet --test health_stream
 
 # Rollout gate: canary→ramp admission order, a mid-campaign Halt that
 # stops admission, auto-rollback restoring the never-patched digest
@@ -74,9 +88,9 @@ cargo test -q -p kshot-fleet --test health_stream
 # a byte-identical wave trail + health stream across worker counts and
 # pipeline depths.
 echo "== rollout: staged waves, auto-halt, rollback determinism =="
-cargo test -q -p kshot --test rollout
-cargo test -q -p kshot-fleet decode_failure_terminal_path_folds_injection_stats
-cargo test -q -p kshot-fleet failed_recovery_is_terminal_and_counted
+run_named -p kshot --test rollout
+run_named -p kshot-fleet decode_failure_terminal_path_folds_injection_stats
+run_named -p kshot-fleet failed_recovery_is_terminal_and_counted
 
 # Batched-SMI gates: the per-CVE journal-segmentation fault sweep
 # (fail-write and power-loss at every SMM write index of a 3-CVE batch;
@@ -85,10 +99,10 @@ cargo test -q -p kshot-fleet failed_recovery_is_terminal_and_counted
 # catalogue tests (batched == sequential digests, decode-once cache
 # accounting, faulted-batch resume).
 echo "== batched-SMI fault sweep + fleet catalogue =="
-cargo test -q -p kshot --test fault_sweep batched
-cargo test -q -p kshot-fleet catalogue_campaign_batched_matches_sequential
-cargo test -q -p kshot-fleet batched_catalogue_decodes_once_per_blob
-cargo test -q -p kshot-fleet faulted_batched_machine_retries_and_matches
+run_named -p kshot --test fault_sweep batched
+run_named -p kshot-fleet catalogue_campaign_batched_matches_sequential
+run_named -p kshot-fleet batched_catalogue_decodes_once_per_blob
+run_named -p kshot-fleet faulted_batched_machine_retries_and_matches
 
 echo "== fleet campaign smoke (incl. pipelined + rollout gates) =="
 rm -f BENCH_fleet.json
@@ -112,9 +126,9 @@ grep -q '"rollback_pops_last_cve":true' BENCH_fleet.json
 # Million-machine scale gate: the fold + Merkle-roll-up stage ran a
 # >=100k-machine campaign (6+ digit machine count), its Merkle root was
 # byte-identical across the workers {1,8} x depths {1,4} grid AND equal
-# to the retained 64-machine digest-vector root, and the fold's
-# resident footprint stayed under 1/10th of the measured retained
-# equivalent.
+# to the 64-machine fleet's digest-vector root, and the fold's resident
+# footprint (reorder buffer included) stayed under 1/10th of
+# machines x size_of::<MachineOutcome>().
 grep -q '"scale":{' BENCH_fleet.json
 grep -Eq '"scale":\{"machines":[1-9][0-9]{5}' BENCH_fleet.json
 grep -q '"merkle_root_identical":true' BENCH_fleet.json
@@ -157,7 +171,7 @@ grep -q '"agg_lines_per_sec":' BENCH_observe.json
 # all four attacks caught, zero violations on the clean fleet, bounded
 # resident monitor memory.
 echo "== integrity: flight-record replay, attack sweep, clean-run zero-violation =="
-cargo test -q -p kshot-fleet --test integrity_attacks
+run_named -p kshot-fleet --test integrity_attacks
 grep -q '"integrity":{"clean_records":64,"clean_violations":0,' BENCH_observe.json
 grep -q '"attacks_caught":4' BENCH_observe.json
 grep -q '"clean_resident_bytes":' BENCH_observe.json

@@ -158,19 +158,15 @@ pub struct MachineOutcome {
 /// `config.workers` OS threads, all applying the bundle serialized in
 /// `bundle_bytes` (decoded once through a shared [`BundleCache`]).
 ///
-/// Machine `i` runs on worker `i % workers` (round-robin), except in
-/// fold mode ([`FleetConfig::fold_outcomes`]) where each worker owns
-/// one contiguous ascending range — the sharding that makes each
-/// worker's Merkle roll-up a single range and the cross-worker fold
-/// merge an adjacent-range join. Per-machine results are independent of
-/// the machine→worker mapping (a machine's seed, clock, and digest
-/// derive only from its own index), so the two shardings produce
-/// identical simulated-domain results. Each worker keeps up to
-/// [`FleetConfig::pipeline_depth`] sessions live at once, stepping
-/// whichever has CPU work while the others wait out their link RTT or
-/// backoff deadlines; per-machine execution stays deterministic because
-/// scheduling only decides *when* a machine's next step runs, never
-/// what it computes.
+/// Machine `i` runs on worker `i % workers` (round-robin). Each worker
+/// keeps up to [`FleetConfig::pipeline_depth`] sessions live at once,
+/// stepping whichever has CPU work while the others wait out their link
+/// RTT or backoff deadlines; per-machine execution stays deterministic
+/// because scheduling only decides *when* a machine's next step runs,
+/// never what it computes. The worker that retires a machine hands its
+/// outcome to the campaign's single [`OutcomeFold`], whose reorder
+/// buffer absorbs outcomes in machine order whatever order they retire
+/// in.
 pub fn run_campaign(
     target: &CampaignTarget,
     bundle_bytes: &[u8],
@@ -179,15 +175,6 @@ pub fn run_campaign(
     let cache = BundleCache::new();
     let workers = config.workers.max(1);
     let started = Instant::now();
-
-    // Fold mode drops outcomes as sessions retire; a rollout's verdict
-    // plane needs retained outcomes (and round-robin wave admission),
-    // so the combination would silently mis-report — fail loudly.
-    assert!(
-        !(config.fold_outcomes && config.rollout.is_some()),
-        "FleetConfig::with_outcome_fold is incompatible with with_rollout \
-         (verdict actuation needs retained outcomes and round-robin admission)"
-    );
 
     // The health monitor tails the worker shard files; arming it
     // without streaming would silently watch nothing, so fail loudly.
@@ -223,14 +210,8 @@ pub fn run_campaign(
         });
     let campaign_done = AtomicBool::new(false);
 
-    let mut per_machine: Vec<(MachineOutcome, Arc<Recorder>)> =
-        Vec::with_capacity(if config.fold_outcomes {
-            0
-        } else {
-            config.machines
-        });
-    let mut fold: Option<OutcomeFold> = None;
-    let mut fold_recorders: Vec<Arc<Recorder>> = Vec::new();
+    let fold = Mutex::new(OutcomeFold::new());
+    let recorder = Recorder::new();
     let mut occupancy: Vec<WorkerOccupancy> = Vec::with_capacity(workers);
     let mut health: Option<CampaignHealth> = None;
     let mut trail: Option<RolloutTrail> = None;
@@ -258,28 +239,17 @@ pub fn run_campaign(
         });
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
-            let cache = &cache;
+            let (cache, fold) = (&cache, &fold);
             let gate = rollout_cfg.as_ref().map(|(_, _, gate)| gate);
-            handles.push(
-                scope.spawn(move || run_worker(target, cache, bundle_bytes, config, worker, gate)),
-            );
+            handles.push(scope.spawn(move || {
+                run_worker(target, cache, bundle_bytes, config, worker, gate, fold)
+            }));
         }
-        // Workers are joined in worker order; in fold mode that is also
-        // ascending machine-range order, so folds merge left to right.
         for handle in handles {
-            let (yielded, worker_occupancy) = handle.join().expect("fleet worker panicked");
-            match yielded {
-                WorkerYield::Retained(results) => per_machine.extend(results),
-                WorkerYield::Folded(worker_fold, recorder) => {
-                    fold_recorders.push(recorder);
-                    match fold.as_mut() {
-                        None => fold = Some(*worker_fold),
-                        Some(merged) => merged
-                            .merge(&worker_fold)
-                            .expect("worker folds cover adjacent machine ranges"),
-                    }
-                }
-            }
+            let (worker_recorder, worker_occupancy) = handle.join().expect("fleet worker panicked");
+            // Streamed workers carry their machines' metric totals; the
+            // unstreamed fast path recorded nothing.
+            recorder.metrics().merge_from(worker_recorder.metrics());
             occupancy.push(worker_occupancy);
         }
         // Every worker has flushed its shard; release the monitor for
@@ -291,34 +261,43 @@ pub fn run_campaign(
             trail = rollout_trail;
         }
     });
-    per_machine.sort_by_key(|(o, _)| o.machine);
-    occupancy.sort_by_key(|o| o.worker);
 
-    let wall = started.elapsed();
-    let recorder = Recorder::new();
-    let mut outcomes = Vec::with_capacity(per_machine.len());
-    for (outcome, machine_recorder) in per_machine {
-        if config.retain_records {
-            recorder.merge_from(&machine_recorder);
-        } else {
-            // Summaries-only: fold metric totals but drop the record
-            // stream (it lives in the shard files when streaming).
-            recorder.metrics().merge_from(machine_recorder.metrics());
+    let mut fold = fold
+        .into_inner()
+        .expect("fleet worker panicked holding the fold");
+    debug_assert_eq!(fold.pending(), 0, "every retired outcome was absorbed");
+    if let Some((_, waves, gate)) = &rollout_cfg {
+        // The gate admits one wave at a time and holds its patched
+        // machines until the verdict, so no worker retires more than
+        // one wave ahead of the fold.
+        debug_assert!(
+            fold.reorder_high_water <= waves.iter().map(|w| w.end - w.start).max().unwrap_or(0)
+        );
+        // A stopped rollout never admits the fleet's tail (admission
+        // is an ascending prefix), so no worker retires those machines:
+        // absorb them here, after everything admitted has retired.
+        debug_assert!(gate.halted() || fold.machines() == config.machines);
+        for machine in fold.machines()..config.machines {
+            fold.absorb(&skipped_outcome(machine, machine % workers));
         }
-        outcomes.push(outcome);
     }
-    // Fold mode: each worker carried one recorder (streaming folds
-    // merged their machines' metric totals into it; the unstreamed
-    // fast path recorded nothing — the fold is the summary).
-    for worker_recorder in &fold_recorders {
-        recorder.metrics().merge_from(worker_recorder.metrics());
+    debug_assert_eq!(fold.machines(), config.machines);
+    // One roll-up line for the whole campaign: the stated root plus the
+    // frontier nodes that let [`kshot_telemetry::ShardData::digest_rollups`]
+    // reconstruct the tree offline.
+    if let Some(dir) = &config.stream_dir {
+        let path = dir.join("rollup.jsonl");
+        let sink = StreamSink::to_path(&path)
+            .unwrap_or_else(|e| panic!("open roll-up {}: {e}", path.display()));
+        sink.write_raw_line(&rollup_json_line(&fold));
+        sink.flush();
     }
+    let wall = started.elapsed();
     let rollout = rollout_cfg.map(|(plan, _, _)| {
-        RolloutReport::assemble(plan, config.machines, trail.unwrap_or_default(), &outcomes)
+        RolloutReport::assemble(plan, config.machines, trail.unwrap_or_default(), &fold)
     });
     CampaignReport::assemble(
         config,
-        outcomes,
         fold,
         recorder,
         occupancy,
@@ -328,18 +307,6 @@ pub fn run_campaign(
         health,
         rollout,
     )
-}
-
-/// What one worker hands back: its machines' retained outcomes and
-/// recorders (the classic mode), or one streaming fold plus the
-/// worker-level recorder (fold mode — outcomes were dropped as their
-/// sessions retired).
-enum WorkerYield {
-    /// One `(outcome, recorder)` per machine, in completion order.
-    Retained(Vec<(MachineOutcome, Arc<Recorder>)>),
-    /// The worker's contiguous range folded down, plus its merged
-    /// metric totals (empty in the unstreamed fast path).
-    Folded(Box<OutcomeFold>, Arc<Recorder>),
 }
 
 /// The campaign's live health thread: poll the worker shards every
@@ -478,37 +445,33 @@ struct Active {
 
 /// One machine's shard parcel, held back until its turn in the worker's
 /// canonical machine order: buffered record lines, the metrics block,
-/// and the pre-rendered outcome line. `None` marks a machine a stopped
-/// rollout never admitted — nothing to write, but the flush cursor must
-/// still pass it so later machines' parcels are not stranded.
-type Parcel = Option<(Vec<String>, MetricsSnapshot, String)>;
+/// and the pre-rendered outcome line.
+type Parcel = (Vec<String>, MetricsSnapshot, String);
 
 /// Write every parcel that is next in canonical order to the shard, and
 /// advance the cursor. Committing a parcel means a live tailer (the
 /// health monitor) can see it — under a rollout that is what lets a
 /// wave be judged while its machines are still held.
 fn flush_parcels(
-    sink: &Option<StreamSink>,
+    sink: &StreamSink,
     parcels: &mut BTreeMap<usize, Parcel>,
     my_machines: &[usize],
     next_flush: &mut usize,
 ) {
     while *next_flush < my_machines.len() {
-        let Some(parcel) = parcels.remove(&my_machines[*next_flush]) else {
+        let Some((lines, metrics, outcome_line)) = parcels.remove(&my_machines[*next_flush]) else {
             break;
         };
-        if let (Some(sink), Some((lines, metrics, outcome_line))) = (sink.as_ref(), parcel) {
-            for line in &lines {
-                sink.write_raw_line(line);
-            }
-            // Close the machine's section of the shard: its metric
-            // totals (counters saturate, histograms merge bucket-wise
-            // on re-aggregation) and one outcome line carrying what
-            // the in-memory MachineOutcome carries.
-            sink.write_metrics(&metrics);
-            sink.write_raw_line(&outcome_line);
-            sink.flush();
+        for line in &lines {
+            sink.write_raw_line(line);
         }
+        // Close the machine's section of the shard: its metric totals
+        // (counters saturate, histograms merge bucket-wise on
+        // re-aggregation) and one outcome line carrying what the
+        // in-memory MachineOutcome carries.
+        sink.write_metrics(&metrics);
+        sink.write_raw_line(&outcome_line);
+        sink.flush();
         *next_flush += 1;
     }
 }
@@ -516,8 +479,8 @@ fn flush_parcels(
 /// Build the shard parcel for a machine whose telemetry is final (for
 /// the shard's purposes): fold ring-eviction losses into a counter
 /// *before* the metrics block is rendered, so the health monitor (and
-/// any shard re-aggregation) sees the drop accounting a summaries-only
-/// campaign would otherwise lose with the record stream.
+/// any shard re-aggregation) sees the drop accounting the campaign
+/// recorder, which keeps metric totals only, would otherwise lose.
 fn seal_parcel(active: &mut Active) -> Parcel {
     let dropped = active.session.recorder.dropped();
     if dropped > 0 {
@@ -537,21 +500,19 @@ fn seal_parcel(active: &mut Active) -> Parcel {
     // from the ring (never through the Record pipeline, whose lines
     // carry wall-clock timestamps), so the smi stream is byte-identical
     // across worker counts, pipeline depths, and batching modes.
-    if active.lines.is_some() {
-        let outcome = &active.session.outcome;
-        buffered.extend(
-            outcome
-                .flight
-                .iter()
-                .map(|rec| smi_json_line(outcome.machine, rec)),
-        );
-    }
+    let outcome = &active.session.outcome;
+    buffered.extend(
+        outcome
+            .flight
+            .iter()
+            .map(|rec| smi_json_line(outcome.machine, rec)),
+    );
     active.flushed = true;
-    Some((
+    (
         buffered,
         active.session.recorder.metrics_snapshot(),
         machine_json_line(&active.session.outcome),
-    ))
+    )
 }
 
 /// The outcome reported for a machine a stopped rollout never admitted:
@@ -582,40 +543,12 @@ fn skipped_outcome(machine: usize, worker: usize) -> MachineOutcome {
     }
 }
 
-/// The machines `worker` owns: round-robin (`worker`, `worker +
-/// workers`, ...) in retained mode, one contiguous ascending range in
-/// fold mode. The contiguous split hands `machines / workers` machines
-/// to every worker (the first `machines % workers` workers take one
-/// extra), ranges tiling `0..machines` in worker order — so worker
-/// `w`'s range starts exactly where worker `w-1`'s ends and the
-/// per-worker folds merge as adjacent Merkle ranges.
-fn worker_shard(config: &FleetConfig, worker: usize) -> Vec<usize> {
-    let workers = config.workers.max(1);
-    if config.fold_outcomes {
-        let base = config.machines / workers;
-        let rem = config.machines % workers;
-        let start = worker * base + worker.min(rem);
-        let len = base + usize::from(worker < rem);
-        (start..start + len).collect()
-    } else {
-        (worker..config.machines).step_by(workers).collect()
-    }
-}
-
-/// Where `worker`'s fold-mode range starts even when it is empty (more
-/// workers than machines): the end of the previous worker's range, so
-/// empty folds still merge as zero-length adjacent ranges.
-fn worker_fold_start(config: &FleetConfig, worker: usize) -> usize {
-    let workers = config.workers.max(1);
-    let base = config.machines / workers;
-    let rem = config.machines % workers;
-    worker * base + worker.min(rem)
-}
-
-/// Drive one worker's share of the fleet (see [`worker_shard`]) with up
-/// to `config.pipeline_depth` sessions in flight, and return its yield
-/// (retained outcomes or a fold) plus the worker's busy/in-flight
-/// occupancy split.
+/// Drive one worker's round-robin share of the fleet (machines
+/// `worker`, `worker + workers`, ...) with up to
+/// `config.pipeline_depth` sessions in flight, retiring each finished
+/// machine into the campaign `fold`, and return the worker's metric
+/// totals (empty when unstreamed) plus its busy/in-flight occupancy
+/// split.
 fn run_worker(
     target: &CampaignTarget,
     cache: &BundleCache,
@@ -623,10 +556,10 @@ fn run_worker(
     config: &FleetConfig,
     worker: usize,
     gate: Option<&RolloutGate>,
-) -> (WorkerYield, WorkerOccupancy) {
+    fold: &Mutex<OutcomeFold>,
+) -> (Arc<Recorder>, WorkerOccupancy) {
     let workers = config.workers.max(1);
     let depth = config.pipeline_depth.max(1);
-    let fold_mode = config.fold_outcomes;
     // Stagger worker starts across one link RTT. Without this the
     // fleet convoys: every worker sleeps its RTT in lockstep (host
     // core idle), then all wake and contend for it at once. Offsetting
@@ -643,28 +576,16 @@ fn run_worker(
         StreamSink::to_path(&path).unwrap_or_else(|e| panic!("open shard {}: {e}", path.display()))
     });
 
-    let my_machines = worker_shard(config, worker);
-    // Whether sessions record telemetry at all. Fold mode without a
-    // stream sink is the fast path: no per-machine recorder, no
-    // RecorderScope entered around steps (every telemetry emit
+    let my_machines: Vec<usize> = (worker..config.machines).step_by(workers).collect();
+    // Unstreamed campaigns are the fast path: no per-machine recorder,
+    // no RecorderScope entered around steps (every telemetry emit
     // early-returns without a scope), no parcels sealed — the fold is
-    // the campaign's entire summary. Fold *with* streaming keeps the
-    // per-machine recorders so shard parcels stay byte-identical to
-    // the retained mode's.
-    let record_scope = !fold_mode || sink.is_some();
-    // Fast-path sessions share one inert recorder (the session struct
-    // needs one); nothing ever enters it, so it stays empty.
+    // the campaign's entire summary. Fast-path sessions share one inert
+    // recorder (the session struct needs one); nothing ever enters it.
     let shared_recorder = Recorder::with_capacity(1);
-    // Fold mode: the worker's running summary plus a depth-bounded
-    // reorder buffer — pipelined sessions retire out of order, but the
-    // Merkle roll-up must absorb digests in machine order.
-    let fold_start = worker_fold_start(config, worker);
-    let mut fold = OutcomeFold::starting_at(fold_start);
-    let mut next_fold = fold_start;
-    let mut pending: BTreeMap<usize, MachineOutcome> = BTreeMap::new();
-    // Fold mode's worker-level recorder: streaming folds merge each
-    // machine's metric totals into it before dropping the machine.
-    let fold_recorder = Recorder::with_capacity(1);
+    // Streamed campaigns merge each retired machine's metric totals
+    // here before dropping the machine.
+    let worker_recorder = Recorder::with_capacity(1);
     // Per-worker image arena: boot draws from it, finalize returns to
     // it, so at most `depth` image clones ever exist per worker.
     let mut arena = SessionArena::with_capacity(depth);
@@ -682,7 +603,6 @@ fn run_worker(
     // Shard parcels waiting for their turn in the shard file.
     let mut parcels: BTreeMap<usize, Parcel> = BTreeMap::new();
     let mut next_flush = 0usize;
-    let mut results = Vec::with_capacity(if fold_mode { 0 } else { my_machines.len() });
     let mut busy = Duration::ZERO;
     let mut in_flight = Duration::ZERO;
 
@@ -711,7 +631,7 @@ fn run_worker(
             if gate.is_some_and(|g| !g.may_admit(machine)) {
                 break;
             }
-            let recorder = if record_scope {
+            let recorder = if sink.is_some() {
                 Recorder::new()
             } else {
                 Arc::clone(&shared_recorder)
@@ -731,18 +651,14 @@ fn run_worker(
             next_admit += 1;
             live += 1;
         }
-        // A stopped rollout never opens the remaining waves: report
-        // their machines as never admitted and advance the flush
-        // cursor past them (they have no shard parcel).
+        // A stopped rollout never opens the remaining waves: their
+        // machines are the tail of this worker's share, and the
+        // campaign reports them as never admitted after the join.
         if gate.is_some_and(RolloutGate::halted) {
             let gate = gate.expect("checked above");
             while next_admit < my_machines.len() && !gate.may_admit(my_machines[next_admit]) {
-                let machine = my_machines[next_admit];
-                results.push((skipped_outcome(machine, worker), Recorder::new()));
-                parcels.insert(machine, None);
                 next_admit += 1;
             }
-            flush_parcels(&sink, &mut parcels, &my_machines, &mut next_flush);
         }
         // Release every parked session whose deadline has passed, in
         // deadline order.
@@ -759,14 +675,14 @@ fn run_worker(
 
         if let Some(mut active) = ready.pop_front() {
             let step_started = Instant::now();
-            let status = if record_scope {
+            let status = if sink.is_some() {
                 let _scope = RecorderScope::enter(Arc::clone(&active.session.recorder));
                 active
                     .session
                     .step(target, cache, bundle_bytes, config, &mut arena)
             } else {
-                // Fold fast path: no recorder scope, so every telemetry
-                // emit inside the step early-returns — the per-machine
+                // Fast path: no recorder scope, so every telemetry emit
+                // inside the step early-returns — the per-machine
                 // record pipeline costs nothing.
                 active
                     .session
@@ -796,43 +712,33 @@ fn run_worker(
                     // from it — free the pipeline slot, and hold the
                     // live session for `deliver_verdict`. Records the
                     // session emits *after* this point (rollback
-                    // telemetry) stay in the in-memory campaign
-                    // recorder only.
+                    // telemetry) reach the campaign recorder's metric
+                    // totals only.
                     live -= 1;
-                    let parcel = seal_parcel(&mut active);
-                    parcels.insert(active.session.outcome.machine, parcel);
-                    flush_parcels(&sink, &mut parcels, &my_machines, &mut next_flush);
+                    if let Some(sink) = &sink {
+                        parcels.insert(active.session.outcome.machine, seal_parcel(&mut active));
+                        flush_parcels(sink, &mut parcels, &my_machines, &mut next_flush);
+                    }
                     held.insert(active.session.outcome.machine, active);
                 }
                 StepStatus::Done => {
                     live -= 1;
-                    if record_scope && !active.flushed {
-                        let parcel = seal_parcel(&mut active);
-                        parcels.insert(active.session.outcome.machine, parcel);
-                        flush_parcels(&sink, &mut parcels, &my_machines, &mut next_flush);
-                    }
-                    let Active { session, .. } = active;
-                    if fold_mode {
-                        // Streaming folds keep the machine's metric
-                        // totals (the parcel snapshot already rendered
-                        // them) before its recorder drops with it.
-                        if record_scope {
-                            fold_recorder
-                                .metrics()
-                                .merge_from(session.recorder.metrics());
+                    if let Some(sink) = &sink {
+                        if !active.flushed {
+                            parcels
+                                .insert(active.session.outcome.machine, seal_parcel(&mut active));
+                            flush_parcels(sink, &mut parcels, &my_machines, &mut next_flush);
                         }
-                        // Pipelined sessions retire out of order; the
-                        // roll-up absorbs in machine order through a
-                        // reorder buffer never deeper than the pipeline.
-                        pending.insert(session.outcome.machine, session.outcome);
-                        debug_assert!(pending.len() <= depth);
-                        while let Some(o) = pending.remove(&next_fold) {
-                            fold.absorb(&o);
-                            next_fold += 1;
-                        }
-                    } else {
-                        results.push((session.outcome, session.recorder));
+                        // Keep the machine's metric totals (the parcel
+                        // snapshot already rendered them) before its
+                        // recorder drops with it.
+                        worker_recorder
+                            .metrics()
+                            .merge_from(active.session.recorder.metrics());
                     }
+                    fold.lock()
+                        .expect("another fleet worker panicked while retiring")
+                        .retire(active.session.outcome);
                 }
             }
         } else if let Some(p) = parked.peek() {
@@ -855,28 +761,11 @@ fn run_worker(
             break;
         }
     }
-    if fold_mode {
-        debug_assert!(pending.is_empty(), "every retired outcome was absorbed");
-        debug_assert_eq!(fold.machines(), my_machines.len());
-        // Close the shard with the worker's digest roll-up: the stated
-        // root plus the frontier nodes that let
-        // [`kshot_telemetry::ShardData::digest_rollups`] reconstruct
-        // the tree and merge adjacent worker ranges back to the
-        // campaign root offline.
-        if let Some(sink) = &sink {
-            sink.write_raw_line(&rollup_json_line(&fold));
-        }
-    }
     if let Some(sink) = &sink {
         sink.flush();
     }
-    let yielded = if fold_mode {
-        WorkerYield::Folded(Box::new(fold), fold_recorder)
-    } else {
-        WorkerYield::Retained(results)
-    };
     (
-        yielded,
+        worker_recorder,
         WorkerOccupancy {
             worker,
             busy,
@@ -885,9 +774,9 @@ fn run_worker(
     )
 }
 
-/// The shard line closing a fold-mode worker's shard: its Merkle
-/// roll-up as `{"type":"rollup",...}` with the stated root and the
-/// O(log n) frontier, the serialization
+/// The campaign's roll-up line, written to `<stream_dir>/rollup.jsonl`:
+/// the Merkle roll-up as `{"type":"rollup",...}` with the stated root
+/// and the O(log n) frontier, the serialization
 /// [`kshot_telemetry::ShardData::digest_rollups`] validates and
 /// reconstructs. Roots alone would not compose — bagged peaks are not
 /// mergeable — so the frontier travels too.
@@ -932,7 +821,7 @@ fn stagger_delay(link_rtt: Duration, worker: usize, workers: usize) -> Duration 
 
 /// The per-machine outcome line a worker appends to its shard file,
 /// mirroring [`MachineOutcome`] (minus the error string, digest, and
-/// injection write count, which stay in the in-memory report).
+/// injection write count, which the fold keeps for exemplars).
 /// `kshot_telemetry::ShardData` surfaces these via
 /// `other_of_type("machine")`.
 fn machine_json_line(o: &MachineOutcome) -> String {
@@ -1016,6 +905,7 @@ mod tests {
     use super::*;
     use crate::config::PlannedFault;
     use kshot_cve::{find, patch_for};
+    use std::path::Path;
 
     fn campaign_fixture() -> (CampaignTarget, Vec<u8>) {
         let spec = find("CVE-2017-17806").expect("benchmark CVE exists");
@@ -1027,6 +917,46 @@ mod tests {
         (target, bundle.bundle.encode())
     }
 
+    /// A fresh per-test stream directory.
+    fn stream_dir(case: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kshot-campaign-{case}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Run `config` streamed into `dir` and return the report plus every
+    /// shard `machine` line (ok, attempts, retries, sim clock, latency,
+    /// dwell) keyed by machine, with the worker field dropped — it is
+    /// the one column that moves with the worker count.
+    fn run_streamed(
+        target: &CampaignTarget,
+        bytes: &[u8],
+        config: &FleetConfig,
+        dir: &Path,
+    ) -> (CampaignReport, BTreeMap<usize, String>) {
+        let report = run_campaign(target, bytes, &config.clone().with_stream_dir(dir));
+        let mut rows = BTreeMap::new();
+        for worker in 0..config.workers {
+            let text = std::fs::read_to_string(dir.join(format!("worker-{worker}.jsonl")))
+                .expect("worker shard exists");
+            for line in text.lines().filter(|l| l.contains("\"type\":\"machine\"")) {
+                let value = kshot_telemetry::json::parse(line).expect("machine line parses");
+                let machine = value
+                    .get("machine")
+                    .and_then(kshot_telemetry::json::Value::as_u64)
+                    .expect("machine index") as usize;
+                let row = line.replace(&format!(",\"worker\":{worker},"), ",");
+                assert!(
+                    rows.insert(machine, row).is_none(),
+                    "machine {machine} twice"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        (report, rows)
+    }
+
     #[test]
     fn small_campaign_converges_identically() {
         let (target, bytes) = campaign_fixture();
@@ -1036,6 +966,7 @@ mod tests {
         assert_eq!(report.failed, 0);
         assert_eq!(report.retries, 0);
         assert!(report.all_identical_digests());
+        assert!(report.exemplars().is_empty(), "a clean fleet keeps nothing");
         // The bundle is decoded once and shared; with two concurrent
         // workers both may miss the empty cache, but every lookup is
         // accounted for.
@@ -1058,16 +989,24 @@ mod tests {
                 smm_write_index: 2,
             });
         let report = run_campaign(&target, &bytes, &config);
-        assert_eq!(report.succeeded, 3, "outcomes: {:?}", report.outcomes);
+        assert_eq!(report.succeeded, 3, "exemplars: {:?}", report.exemplars());
         assert_eq!(report.retries, 1);
         assert_eq!(report.faults_injected, 1);
-        let faulted = &report.outcomes[1];
+        assert_eq!(report.exemplars().len(), 1, "only the retried machine");
+        let faulted = report
+            .exemplar(1)
+            .expect("a retried machine is an exemplar");
         assert_eq!(faulted.attempts, 2);
         assert!(faulted.ok);
         // The retried machine converges to the same applied state, but
-        // its clock carries the failed attempt and the backoff.
+        // its clock carries the failed attempt and the backoff: it is
+        // the fleet's slowest, past its own session by the backoff.
         assert!(report.all_identical_digests());
-        assert!(faulted.sim_clock > report.outcomes[0].sim_clock);
+        assert_eq!(faulted.sim_clock, report.fold.slowest_sim_clock);
+        assert!(
+            faulted.sim_clock.as_ns()
+                > faulted.latency.unwrap().as_ns() + config.backoff_base.as_ns()
+        );
     }
 
     /// Regression for the injection-stats leak: a plan armed at a write
@@ -1084,22 +1023,22 @@ mod tests {
                 smm_write_index: u64::MAX,
             });
         let report = run_campaign(&target, &bytes, &config);
-        let o = &report.outcomes[0];
-        assert!(o.ok);
-        assert_eq!(o.attempts, 1);
-        assert_eq!(o.faults_injected, 0, "the plan never fired");
+        assert_eq!(report.succeeded, 1);
+        assert_eq!(report.retries, 0, "one attempt");
+        assert_eq!(report.faults_injected, 0, "the plan never fired");
         assert!(
-            o.injection_writes_seen > 0,
+            report.fold.injection_writes_seen > 0,
             "armed plan's observed writes must survive the success path"
         );
-        assert_eq!(report.faults_injected, 0);
+        // Nothing fired and nothing retried: the machine is clean.
+        assert!(report.exemplars().is_empty());
     }
 
     /// Regression for the swallowed-recovery-error path: `step_patch`
     /// used to `let _ = system.recover();` and retry on a machine whose
     /// recovery may have stopped mid-unwind. A fault armed *inside the
     /// recovery window* must now fail the machine terminally (no
-    /// retry), mark `recovery_failed`, and bump the campaign counter.
+    /// retry), mark `recovery_failed`, and be counted by the fold.
     #[test]
     fn failed_recovery_is_terminal_and_counted() {
         let (target, bytes) = campaign_fixture();
@@ -1117,7 +1056,7 @@ mod tests {
                 smm_write_index: 0,
             });
         let report = run_campaign(&target, &bytes, &config);
-        let o = &report.outcomes[0];
+        let o = report.exemplar(0).expect("a failed machine is an exemplar");
         assert!(!o.ok);
         assert!(o.recovery_failed);
         assert_eq!(
@@ -1131,18 +1070,12 @@ mod tests {
             .as_deref()
             .expect("terminal failure carries both errors");
         assert!(err.contains("recovery failed"), "{err}");
-        assert_eq!(
-            report
-                .recorder
-                .metrics_snapshot()
-                .counter("fleet.recovery_failed"),
-            1
-        );
-        // The healthy neighbour is untouched, and a failed-then-
-        // unrecovered machine still reports a digest (of whatever state
-        // it was left in) rather than panicking.
-        assert!(report.outcomes[1].ok);
-        assert!(!report.outcomes[1].recovery_failed);
+        assert_eq!(report.fold.recovery_failed, 1);
+        // The healthy neighbour is untouched (clean, so not an
+        // exemplar), and a failed-then-unrecovered machine still
+        // reports a digest (of whatever state it was left in) rather
+        // than panicking.
+        assert!(report.exemplar(1).is_none());
         assert_eq!(report.succeeded, 1);
         assert_eq!(report.failed, 1);
     }
@@ -1158,7 +1091,7 @@ mod tests {
         let report = run_campaign(&target, &bytes, &config);
         assert_eq!(report.succeeded, 0);
         assert_eq!(report.failed, 1);
-        let o = &report.outcomes[0];
+        let o = report.exemplar(0).expect("a failed machine is an exemplar");
         assert!(!o.ok);
         assert!(o.error.is_some());
         assert_eq!(o.attempts, 1);
@@ -1168,13 +1101,11 @@ mod tests {
     fn campaigns_are_reproducible_in_the_simulated_domain() {
         let (target, bytes) = campaign_fixture();
         let config = FleetConfig::new(3, 2).with_seed(42);
-        let a = run_campaign(&target, &bytes, &config);
-        let b = run_campaign(&target, &bytes, &config);
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.state_digest, y.state_digest);
-            assert_eq!(x.sim_clock, y.sim_clock);
-            assert_eq!(x.latency.map(|t| t.as_ns()), y.latency.map(|t| t.as_ns()));
-        }
+        let (a, rows_a) = run_streamed(&target, &bytes, &config, &stream_dir("repro-a"));
+        let (b, rows_b) = run_streamed(&target, &bytes, &config, &stream_dir("repro-b"));
+        assert_eq!(rows_a.len(), 3);
+        assert_eq!(rows_a, rows_b, "per-machine sim clocks and latencies");
+        assert_eq!(a.digest_root(), b.digest_root());
     }
 
     /// A pipelined single worker must produce the same simulated-domain
@@ -1189,18 +1120,15 @@ mod tests {
                 smm_write_index: 3,
             });
         let pipelined = sequential.clone().with_pipeline_depth(5);
-        let a = run_campaign(&target, &bytes, &sequential);
-        let b = run_campaign(&target, &bytes, &pipelined);
+        let (a, rows_a) = run_streamed(&target, &bytes, &sequential, &stream_dir("seq"));
+        let (b, rows_b) = run_streamed(&target, &bytes, &pipelined, &stream_dir("piped"));
         assert_eq!(a.succeeded, 5);
         assert_eq!(b.succeeded, 5);
         assert_eq!(a.retries, b.retries);
         assert_eq!(a.faults_injected, b.faults_injected);
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.machine, y.machine);
-            assert_eq!(x.state_digest, y.state_digest);
-            assert_eq!(x.sim_clock, y.sim_clock);
-            assert_eq!(x.attempts, y.attempts);
-        }
+        assert_eq!(rows_a.len(), 5);
+        assert_eq!(rows_a, rows_b, "per-machine attempts and sim clocks");
+        assert_eq!(a.digest_root(), b.digest_root());
     }
 
     /// Two benchmark CVEs of the same kernel version, encoded as a
@@ -1232,26 +1160,26 @@ mod tests {
     fn catalogue_campaign_batched_matches_sequential() {
         let (target, blobs) = catalogue_fixture();
         let base = FleetConfig::new(6, 2).with_seed(21).with_catalogue(blobs);
-        let seq = run_campaign(&target, &[], &base);
-        let batched = run_campaign(
+        let (seq, seq_rows) = run_streamed(&target, &[], &base, &stream_dir("cat-seq"));
+        let (batched, batched_rows) = run_streamed(
             &target,
             &[],
             &base.clone().with_batched_smi(true).with_pipeline_depth(3),
+            &stream_dir("cat-batched"),
         );
-        assert_eq!(seq.succeeded, 6, "outcomes: {:?}", seq.outcomes);
-        assert_eq!(batched.succeeded, 6, "outcomes: {:?}", batched.outcomes);
+        assert_eq!(seq.succeeded, 6, "exemplars: {:?}", seq.exemplars());
+        assert_eq!(batched.succeeded, 6, "exemplars: {:?}", batched.exemplars());
         assert!(seq.all_identical_digests());
         assert!(batched.all_identical_digests());
-        for (x, y) in seq.outcomes.iter().zip(&batched.outcomes) {
-            assert_eq!(x.state_digest, y.state_digest, "machine {}", x.machine);
-        }
+        assert_eq!(seq.digest_root(), batched.digest_root());
         // Sequential pays one delivery+SMI per CVE; batched pays one
         // for the whole catalogue.
-        assert!(seq.outcomes.iter().all(|o| o.attempts == 2));
-        assert!(batched.outcomes.iter().all(|o| o.attempts == 1));
+        assert_eq!(seq_rows.len(), 6);
+        assert!(seq_rows.values().all(|r| r.contains("\"attempts\":2,")));
+        assert!(batched_rows.values().all(|r| r.contains("\"attempts\":1,")));
         // The saved SMI's fixed entry/exit/keygen cost shows up as
         // strictly lower simulated patch latency.
-        assert!(batched.outcomes[0].latency.unwrap() < seq.outcomes[0].latency.unwrap());
+        assert!(batched.latency_max < seq.latency_p50);
     }
 
     /// Satellite regression: batched attempts must route every
@@ -1285,10 +1213,10 @@ mod tests {
                 smm_write_index: 2,
             });
         let report = run_campaign(&target, &[], &config);
-        assert_eq!(report.succeeded, 3, "outcomes: {:?}", report.outcomes);
+        assert_eq!(report.succeeded, 3, "exemplars: {:?}", report.exemplars());
         assert_eq!(report.faults_injected, 1);
         assert!(report.all_identical_digests());
-        assert_eq!(report.outcomes[1].attempts, 2);
+        assert_eq!(report.exemplar(1).map(|o| o.attempts), Some(2));
     }
 
     #[test]
@@ -1310,67 +1238,9 @@ mod tests {
         assert_eq!(stagger_delay(rtt, 3, 0), Duration::ZERO);
     }
 
-    /// Contiguous fold-mode sharding must tile `0..machines` exactly,
-    /// in worker order, for every split — including workers that get an
-    /// empty range (their fold starts where the previous one ends, so
-    /// zero-length merges still chain).
-    #[test]
-    fn fold_shards_tile_the_fleet_in_worker_order() {
-        for (machines, workers) in [(0, 3), (1, 4), (7, 3), (8, 3), (9, 3), (100, 8)] {
-            let mut config = FleetConfig::new(machines, workers).with_outcome_fold();
-            config.workers = workers;
-            let mut next = 0usize;
-            for worker in 0..workers {
-                assert_eq!(
-                    worker_fold_start(&config, worker),
-                    next,
-                    "machines={machines} workers={workers} worker={worker}"
-                );
-                let shard = worker_shard(&config, worker);
-                for (i, &m) in shard.iter().enumerate() {
-                    assert_eq!(m, next + i);
-                }
-                next += shard.len();
-            }
-            assert_eq!(next, machines, "machines={machines} workers={workers}");
-        }
-    }
-
-    /// The fold campaign must agree with the retained campaign on every
-    /// summary it keeps — counts, retries, the Merkle root — while
-    /// retaining no per-machine outcomes at all.
-    #[test]
-    fn fold_campaign_matches_retained_campaign() {
-        let (target, bytes) = campaign_fixture();
-        let base = FleetConfig::new(6, 2)
-            .with_seed(77)
-            .with_fault(PlannedFault {
-                machine: 3,
-                smm_write_index: 2,
-            });
-        let retained = run_campaign(&target, &bytes, &base);
-        let folded = run_campaign(&target, &bytes, &base.clone().with_outcome_fold());
-        assert_eq!(retained.succeeded, 6, "outcomes: {:?}", retained.outcomes);
-        assert_eq!(folded.succeeded, 6);
-        assert_eq!(folded.failed, 0);
-        assert_eq!(folded.retries, retained.retries);
-        assert_eq!(folded.faults_injected, retained.faults_injected);
-        assert!(folded.outcomes.is_empty(), "fold mode retains no outcomes");
-        let fold = folded.fold.as_ref().expect("fold mode carries the fold");
-        assert_eq!(fold.machines(), 6);
-        assert_eq!(fold.merkle_root(), retained.digest_root());
-        assert!(folded.all_identical_digests());
-        assert_eq!(folded.latency_max, retained.latency_max);
-        assert!(
-            fold.resident_bytes() < 64 * 1024,
-            "fold stays small: {} bytes",
-            fold.resident_bytes()
-        );
-    }
-
-    /// Pipelined fold workers retire sessions out of machine order; the
-    /// reorder buffer must still absorb them in order, so the root (and
-    /// every counter) matches the depth-1 drive exactly.
+    /// Pipelined multi-worker campaigns retire sessions out of machine
+    /// order; the reorder buffer must still absorb them in order, so
+    /// the root (and every counter) matches the depth-1 drive exactly.
     #[test]
     fn pipelined_fold_matches_sequential_fold() {
         let (target, bytes) = campaign_fixture();
@@ -1379,64 +1249,53 @@ mod tests {
             .with_fault(PlannedFault {
                 machine: 1,
                 smm_write_index: 3,
-            })
-            .with_outcome_fold();
+            });
         let seq = run_campaign(&target, &bytes, &base);
         let piped = run_campaign(&target, &bytes, &base.clone().with_pipeline_depth(4));
-        let (a, b) = (seq.fold.as_ref().unwrap(), piped.fold.as_ref().unwrap());
+        let (a, b) = (&seq.fold, &piped.fold);
         assert_eq!(a.merkle_root(), b.merkle_root());
         assert_eq!(a.succeeded, b.succeeded);
         assert_eq!(a.retries, b.retries);
         assert_eq!(seq.latency_p50, piped.latency_p50);
         assert_eq!(seq.latency_max, piped.latency_max);
+        assert!(
+            a.resident_bytes() < 64 * 1024,
+            "fold stays small: {} bytes",
+            a.resident_bytes()
+        );
     }
 
-    /// Fold + streaming: every worker seals the same parcels as a
-    /// retained streaming run *and* appends one roll-up line; the
-    /// roll-ups parsed back from the shards merge (in range order,
-    /// across workers) to exactly the campaign's root.
+    /// Streaming campaigns close with one roll-up line in
+    /// `rollup.jsonl`; parsed back, it reconstructs exactly the
+    /// campaign's root, while the worker shards carry only machine
+    /// parcels.
     #[test]
     fn streamed_fold_rollups_reconstruct_the_campaign_root() {
         let (target, bytes) = campaign_fixture();
-        let dir = std::env::temp_dir().join(format!("kshot-fold-rollup-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = stream_dir("rollup");
         const WORKERS: usize = 3;
         let config = FleetConfig::new(7, WORKERS)
             .with_seed(19)
-            .with_outcome_fold()
             .with_stream_dir(&dir);
         let report = run_campaign(&target, &bytes, &config);
         assert_eq!(report.succeeded, 7);
-        let root = report.fold.as_ref().unwrap().merkle_root();
-        let mut rollups = Vec::new();
+        let rollup = kshot_telemetry::ShardData::parse_file(dir.join("rollup.jsonl"))
+            .expect("roll-up file parses");
+        let rollups = rollup.digest_rollups().expect("roll-up line validates");
+        assert_eq!(rollups.len(), 1, "one roll-up line per campaign");
+        assert_eq!(rollups[0].start, 0);
+        assert_eq!(rollups[0].tree.len(), 7);
+        assert_eq!(
+            rollups[0].tree.root(),
+            report.digest_root(),
+            "the roll-up reconstructs the campaign root"
+        );
         for worker in 0..WORKERS {
             let shard =
                 kshot_telemetry::ShardData::parse_file(dir.join(format!("worker-{worker}.jsonl")))
                     .expect("worker shard parses");
-            rollups.extend(shard.digest_rollups().expect("roll-up lines validate"));
+            assert!(shard.digest_rollups().expect("validates").is_empty());
         }
-        rollups.sort_by_key(|r| r.start);
-        assert_eq!(rollups.len(), WORKERS, "one roll-up line per worker");
-        let mut merged = rollups.remove(0).tree;
-        for r in rollups {
-            merged.merge(&r.tree).expect("worker ranges are adjacent");
-        }
-        assert_eq!(merged.len(), 7);
-        assert_eq!(
-            merged.root(),
-            root,
-            "shard roll-ups reconstruct the campaign root"
-        );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible with with_rollout")]
-    fn fold_mode_rejects_rollouts_loudly() {
-        let (target, bytes) = campaign_fixture();
-        let config = FleetConfig::new(4, 2)
-            .with_outcome_fold()
-            .with_rollout(crate::rollout::RolloutPlan::canary_machines(2));
-        run_campaign(&target, &bytes, &config);
     }
 }

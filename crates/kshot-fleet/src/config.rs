@@ -56,7 +56,8 @@ pub struct PlannedAttack {
 pub struct FleetConfig {
     /// Number of simulated machines to patch.
     pub machines: usize,
-    /// Number of OS worker threads to shard machines across.
+    /// Number of OS worker threads to shard machines across. Machine
+    /// `i` runs on worker `i % workers` (round-robin).
     pub workers: usize,
     /// Campaign-level seed; machine `i` derives its own seed as
     /// `splitmix64(seed + i)`, so campaigns are reproducible while
@@ -78,11 +79,15 @@ pub struct FleetConfig {
     /// When set, each worker streams its machines' telemetry to
     /// `<stream_dir>/worker-<N>.jsonl` as machines complete (records as
     /// they are emitted, one metrics block plus one `machine` outcome
-    /// line per machine). See `kshot_telemetry::StreamSink`.
+    /// line per machine), and the campaign writes its Merkle digest
+    /// roll-up to `<stream_dir>/rollup.jsonl` at the end. See
+    /// `kshot_telemetry::StreamSink`. Unset, machines record no
+    /// telemetry at all: the [`crate::OutcomeFold`] is the whole
+    /// summary.
     pub stream_dir: Option<PathBuf>,
     /// SMM dwell-time budget armed on every machine; SMIs dwelling
     /// longer are counted and reported in
-    /// `CampaignReport::dwell_anomalies`.
+    /// the fold's `dwell_anomalies`.
     pub smm_dwell_budget: Option<SimTime>,
     /// Machines to artificially slow down (SMM cost scaling), at most
     /// one per machine.
@@ -98,12 +103,6 @@ pub struct FleetConfig {
     /// spawning threads. Simulated-domain results (state digests, sim
     /// clocks, metrics, shard contents) are identical at every depth.
     pub pipeline_depth: usize,
-    /// Whether the merged campaign recorder retains every machine's
-    /// records (`true`, the default) or only the merged metric
-    /// summaries (`false`). Summaries-only is the memory-bounded mode
-    /// for large fleets: with `stream_dir` set, the full record stream
-    /// lives in the per-worker shard files instead.
-    pub retain_records: bool,
     /// When set, `run_campaign` spawns a live
     /// [`kshot_telemetry::HealthMonitor`] thread tailing the worker
     /// shards while the campaign runs (requires `stream_dir`); the
@@ -155,22 +154,6 @@ pub struct FleetConfig {
     /// `CampaignReport::integrity`. Requires [`FleetConfig::with_health`]
     /// (the monitor hosts the replay).
     pub integrity: Option<IntegrityPolicy>,
-    /// Streaming outcome folding: each machine's
-    /// [`crate::MachineOutcome`] is absorbed into a per-worker
-    /// [`crate::OutcomeFold`] (counts, latency sketch, Merkle digest
-    /// roll-up) the moment its session retires, and the outcome itself
-    /// is dropped — the campaign's resident state stays O(workers ×
-    /// pipeline_depth) instead of O(machines). The report then carries
-    /// the merged fold ([`crate::CampaignReport::fold`]) and an empty
-    /// `outcomes` vector. Fold mode shards machines *contiguously*
-    /// (worker `w` owns one ascending range) instead of round-robin, so
-    /// each worker's fold covers one Merkle range and the cross-worker
-    /// merge is a pure adjacent-range join; per-machine results are
-    /// worker-independent, so digests and roots are unchanged by the
-    /// resharding. Incompatible with [`FleetConfig::rollout`] (verdict
-    /// actuation needs retained outcomes and round-robin wave
-    /// admission); `run_campaign` panics loudly on the combination.
-    pub fold_outcomes: bool,
 }
 
 impl FleetConfig {
@@ -190,7 +173,6 @@ impl FleetConfig {
             smm_dwell_budget: None,
             slowdowns: Vec::new(),
             pipeline_depth: 1,
-            retain_records: true,
             health_policy: None,
             health_window: 8,
             rollout: None,
@@ -199,7 +181,6 @@ impl FleetConfig {
             batched_smi: false,
             attacks: Vec::new(),
             integrity: None,
-            fold_outcomes: false,
         }
     }
 
@@ -243,14 +224,6 @@ impl FleetConfig {
     /// Builder-style: slow one machine's SMM stages down.
     pub fn with_slowdown(mut self, slowdown: PlannedSlowdown) -> Self {
         self.slowdowns.push(slowdown);
-        self
-    }
-
-    /// Builder-style: keep only merged metric summaries in the campaign
-    /// recorder (pair with [`FleetConfig::with_stream_dir`] so the full
-    /// record stream still lands on disk).
-    pub fn summaries_only(mut self) -> Self {
-        self.retain_records = false;
         self
     }
 
@@ -314,13 +287,10 @@ impl FleetConfig {
         self
     }
 
-    /// Builder-style: fold outcomes as sessions retire instead of
-    /// retaining them — the memory-bounded mode for very large fleets.
-    /// Implies summaries-only (the record stream, if wanted, lives in
-    /// the shard files). See [`FleetConfig::fold_outcomes`].
-    pub fn with_outcome_fold(mut self) -> Self {
-        self.fold_outcomes = true;
-        self.retain_records = false;
+    /// Builder-style: kept for source compatibility and does nothing.
+    /// Every campaign folds its outcomes as sessions retire (see
+    /// [`crate::OutcomeFold`]); there is no other mode to switch from.
+    pub fn with_outcome_fold(self) -> Self {
         self
     }
 }
@@ -351,16 +321,6 @@ mod tests {
         assert_eq!(c.with_pipeline_depth(0).pipeline_depth, 1);
         // Zero workers is clamped rather than deadlocking the shard loop.
         assert_eq!(FleetConfig::new(1, 0).workers, 1);
-    }
-
-    #[test]
-    fn outcome_fold_implies_summaries_only() {
-        let c = FleetConfig::new(8, 2).with_outcome_fold();
-        assert!(c.fold_outcomes);
-        assert!(
-            !c.retain_records,
-            "fold mode drops outcomes; retaining records would defeat it"
-        );
     }
 
     #[test]

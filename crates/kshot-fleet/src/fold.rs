@@ -1,36 +1,36 @@
-//! Streaming outcome folding: the memory-bounded summary a fold-mode
-//! campaign keeps *instead of* the per-machine outcome vector.
+//! Streaming outcome folding: the memory-bounded summary every
+//! campaign keeps instead of a per-machine outcome vector.
 //!
-//! A retained campaign carries one [`MachineOutcome`] per machine to
-//! the report assembler — fine at thousands of machines, fatal at a
-//! million (an outcome owns an error string, a flight ring, and ~200
-//! fixed bytes; a million of them is gigabytes). An [`OutcomeFold`]
-//! absorbs each outcome the moment its session retires and keeps only
-//! what the report actually derives from the vector: counters, a
+//! A machine's [`MachineOutcome`] owns an error string, a flight ring
+//! and ~200 fixed bytes; a million of them is gigabytes. An
+//! [`OutcomeFold`] absorbs each outcome the moment its session retires
+//! and keeps only what the report derives from it: counters, a
 //! mergeable latency [`QuantileSketch`], capped dwell-anomaly
-//! attribution, and a [`DigestTree`] Merkle roll-up whose root replaces
-//! the all-pairs digest comparison. Resident size is O(log machines)
-//! for the tree plus O(1) for everything else, independent of fleet
-//! size.
+//! attribution, a capped ring of *exemplars* (full outcomes of every
+//! machine that was not clean), and a [`DigestTree`] Merkle roll-up
+//! whose root replaces the all-pairs digest comparison. Resident size
+//! is O(log machines) for the tree plus O(1) for everything else,
+//! independent of fleet size.
 //!
-//! Folds compose exactly like the digest trees inside them: each worker
-//! folds its own contiguous machine range in ascending order, and the
-//! campaign merges the per-worker folds left to right. Every aggregate
-//! here is either a sum, a max, a sketch merge, or an adjacent-range
-//! tree join, so fold-then-merge is identical to one sequential fold —
-//! the property the `fold_merge_equals_sequential_fold` test pins.
+//! The digest tree's root is order-canonical, so outcomes must be
+//! absorbed in machine order. Pipelined and multi-worker campaigns
+//! retire machines out of order; [`OutcomeFold::retire`] takes them in
+//! any order, parks early arrivals in a reorder buffer, and absorbs
+//! every outcome that is next in machine order. The buffer holds only
+//! what the fastest worker has retired ahead of the slowest, and its
+//! high-water mark is reported.
+
+use std::collections::BTreeMap;
 
 use kshot_machine::{SimTime, SmiCause};
-use kshot_telemetry::{DigestTree, MerkleError, QuantileSketch};
+use kshot_telemetry::{DigestTree, QuantileSketch};
 
 use crate::campaign::MachineOutcome;
 use crate::report::DWELL_ANOMALY_CAP;
 
-/// Running summary of a contiguous machine range's outcomes.
+/// Running summary of a campaign's outcomes, absorbed in machine order.
 #[derive(Debug, Clone)]
 pub struct OutcomeFold {
-    /// First machine index of the range this fold covers.
-    start: usize,
     /// One past the last absorbed machine index.
     next: usize,
     /// Machines whose patch ultimately applied.
@@ -55,45 +55,48 @@ pub struct OutcomeFold {
     pub rollback_failed: u64,
     /// Machines a stopped rollout never admitted.
     pub not_admitted: u64,
-    /// Successful-session latency distribution (mergeable sketch; the
-    /// exact maximum is tracked on the side because the sketch's max
-    /// is already exact but its percentiles are γ-approximate).
+    /// Successful-session latency distribution. Its max is exact; its
+    /// percentiles never undershoot the exact nearest-rank sample and
+    /// overshoot it by at most
+    /// [`QuantileSketch::MAX_RELATIVE_ERROR_PER_MILLE`].
     pub latency: QuantileSketch,
     /// Slowest machine clock — the simulated-domain campaign duration.
     pub slowest_sim_clock: SimTime,
-    /// Longest single SMM dwell observed anywhere in the range.
+    /// Longest single SMM dwell observed on any machine.
     pub max_smm_dwell: SimTime,
     /// First [`DWELL_ANOMALY_CAP`] flagged machine indices.
     pub dwell_anomalies: Vec<usize>,
-    /// SMI attribution parallel to `dwell_anomalies`, same cap.
+    /// SMI attribution for `dwell_anomalies` (entries whose worst SMI
+    /// was never observed are omitted).
     pub dwell_anomaly_smis: Vec<(usize, u64, SmiCause)>,
     /// Flagged machines beyond the cap — attribution dropped, count kept.
     pub dwell_anomalies_truncated: u64,
-    /// Merkle accumulator over the range's state digests, in machine
-    /// order. Root equality across campaigns replaces comparing a
-    /// million 32-byte digests pairwise.
+    /// Full outcomes of the first [`DWELL_ANOMALY_CAP`] machines that
+    /// were not clean: failed, retried, faulted, over the dwell budget,
+    /// rolled back, or never admitted. Clean outcomes are absorbed and
+    /// dropped without a copy.
+    pub exemplars: Vec<MachineOutcome>,
+    /// Non-clean machines beyond the exemplar cap.
+    pub exemplars_truncated: u64,
+    /// Merkle accumulator over the state digests, in machine order.
+    /// Root equality across campaigns replaces comparing a million
+    /// 32-byte digests pairwise.
     pub tree: DigestTree,
-    /// The range's first state digest — the uniformity reference.
+    /// Most outcomes the reorder buffer ever held at once.
+    pub reorder_high_water: usize,
+    /// Outcomes retired ahead of `next`, waiting for their turn.
+    pending: BTreeMap<usize, MachineOutcome>,
+    /// The first state digest — the uniformity reference.
     reference_digest: Option<[u8; 32]>,
-    /// First machine whose digest differs from `reference_digest`,
-    /// if any. O(1) divergence tracking: the full locator
-    /// ([`kshot_telemetry::FullDigestTree`]) needs the leaves, which a
-    /// fold deliberately does not keep.
+    /// First machine whose digest differs from `reference_digest`.
     first_divergence: Option<usize>,
 }
 
 impl OutcomeFold {
-    /// An empty fold over the range starting at machine 0.
+    /// An empty fold whose first absorbed machine must be machine 0.
     pub fn new() -> OutcomeFold {
-        OutcomeFold::starting_at(0)
-    }
-
-    /// An empty fold whose first absorbed machine must be `start` —
-    /// one per worker, at the base of its contiguous shard.
-    pub fn starting_at(start: usize) -> OutcomeFold {
         OutcomeFold {
-            start,
-            next: start,
+            next: 0,
             succeeded: 0,
             failed: 0,
             retries: 0,
@@ -111,26 +114,45 @@ impl OutcomeFold {
             dwell_anomalies: Vec::new(),
             dwell_anomaly_smis: Vec::new(),
             dwell_anomalies_truncated: 0,
-            tree: DigestTree::starting_at(start as u64),
+            exemplars: Vec::new(),
+            exemplars_truncated: 0,
+            tree: DigestTree::new(),
+            reorder_high_water: 0,
+            pending: BTreeMap::new(),
             reference_digest: None,
             first_divergence: None,
         }
     }
 
-    /// First machine index of the range this fold covers.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
     /// Machines absorbed so far.
     pub fn machines(&self) -> usize {
-        self.next - self.start
+        self.next
+    }
+
+    /// Outcomes currently parked in the reorder buffer.
+    pub(crate) fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Take a retired machine's outcome in any order: absorb it if it is
+    /// next in machine order (then drain every buffered successor),
+    /// otherwise park it until its predecessors retire.
+    pub fn retire(&mut self, outcome: MachineOutcome) {
+        if outcome.machine != self.next {
+            self.pending.insert(outcome.machine, outcome);
+            self.reorder_high_water = self.reorder_high_water.max(self.pending.len());
+            return;
+        }
+        self.absorb(&outcome);
+        while let Some(o) = self.pending.remove(&self.next) {
+            self.absorb(&o);
+        }
     }
 
     /// Absorb one retired machine's outcome. Outcomes must arrive in
-    /// canonical machine order within the fold's range — that is what
-    /// makes the digest tree's root order-canonical — so the caller
-    /// (the worker's reorder buffer) must not skip or repeat indices.
+    /// machine order — that is what makes the digest tree's root
+    /// order-canonical — so the caller must not skip or repeat indices
+    /// (use [`OutcomeFold::retire`] when they may arrive out of order).
     pub fn absorb(&mut self, o: &MachineOutcome) {
         assert_eq!(
             o.machine, self.next,
@@ -156,15 +178,21 @@ impl OutcomeFold {
         }
         self.slowest_sim_clock = self.slowest_sim_clock.max(o.sim_clock);
         self.max_smm_dwell = self.max_smm_dwell.max(o.max_smm_dwell);
-        if o.smm_overbudget > 0 {
-            if self.dwell_anomalies.len() < DWELL_ANOMALY_CAP {
-                self.dwell_anomalies.push(o.machine);
-                if let Some((smi, cause)) = o.dwell_worst {
-                    self.dwell_anomaly_smis.push((o.machine, smi, cause));
-                }
-            } else {
-                self.dwell_anomalies_truncated += 1;
+        if o.smm_overbudget > 0
+            && push_capped(
+                &mut self.dwell_anomalies,
+                &mut self.dwell_anomalies_truncated,
+                || o.machine,
+            )
+        {
+            if let Some((smi, cause)) = o.dwell_worst {
+                self.dwell_anomaly_smis.push((o.machine, smi, cause));
             }
+        }
+        if !is_clean(o) {
+            push_capped(&mut self.exemplars, &mut self.exemplars_truncated, || {
+                o.clone()
+            });
         }
         self.tree.append(o.state_digest);
         match self.reference_digest {
@@ -175,66 +203,6 @@ impl OutcomeFold {
                 }
             }
         }
-    }
-
-    /// Merge the fold of the adjacent range to the right. Sums, maxes
-    /// and sketch merges are order-free; the digest tree join and the
-    /// divergence rule are not, so `right` must start exactly where
-    /// this fold ends (the campaign merges worker folds left to right).
-    pub fn merge(&mut self, right: &OutcomeFold) -> Result<(), MerkleError> {
-        self.tree.merge(&right.tree)?;
-        self.next = right.next;
-        self.succeeded += right.succeeded;
-        self.failed += right.failed;
-        self.retries += right.retries;
-        self.faults_injected += right.faults_injected;
-        self.injection_writes_seen += right.injection_writes_seen;
-        self.smm_overbudget += right.smm_overbudget;
-        self.recovery_failed += right.recovery_failed;
-        self.rolled_back += right.rolled_back;
-        self.rollback_skipped += right.rollback_skipped;
-        self.rollback_failed += right.rollback_failed;
-        self.not_admitted += right.not_admitted;
-        self.latency.merge_from(&right.latency);
-        self.slowest_sim_clock = self.slowest_sim_clock.max(right.slowest_sim_clock);
-        self.max_smm_dwell = self.max_smm_dwell.max(right.max_smm_dwell);
-        self.dwell_anomalies_truncated += right.dwell_anomalies_truncated;
-        // Attribution entries are a (possibly shorter) parallel list —
-        // match them to anomalies by machine index, not position.
-        let mut attrs = right.dwell_anomaly_smis.iter().peekable();
-        for &machine in &right.dwell_anomalies {
-            let attr = attrs.next_if(|(m, _, _)| *m == machine).copied();
-            if self.dwell_anomalies.len() < DWELL_ANOMALY_CAP {
-                self.dwell_anomalies.push(machine);
-                if let Some(attr) = attr {
-                    self.dwell_anomaly_smis.push(attr);
-                }
-            } else {
-                self.dwell_anomalies_truncated += 1;
-            }
-        }
-        // Divergence composes left to right: a divergence inside the
-        // left range wins; otherwise, if the right range's reference
-        // digest differs from ours, the divergence is exactly the
-        // right range's first machine; otherwise the right range's own
-        // internal divergence (relative to the now-shared reference).
-        match (self.reference_digest, right.reference_digest) {
-            (Some(mine), Some(theirs)) => {
-                if self.first_divergence.is_none() {
-                    self.first_divergence = if mine != theirs {
-                        Some(right.start)
-                    } else {
-                        right.first_divergence
-                    };
-                }
-            }
-            (None, theirs) => {
-                self.reference_digest = theirs;
-                self.first_divergence = right.first_divergence;
-            }
-            (Some(_), None) => {}
-        }
-        Ok(())
     }
 
     /// Root of the Merkle roll-up over every absorbed digest.
@@ -249,24 +217,30 @@ impl OutcomeFold {
         self.first_divergence.is_none()
     }
 
-    /// First machine whose digest differed from the range's first, if
-    /// any. For the exact *leaf-level* locator over two full campaigns,
-    /// use [`kshot_telemetry::FullDigestTree::first_divergence`] on
-    /// retained runs; a fold answers the within-run question in O(1).
+    /// First machine whose digest differed from machine 0's, if any.
     pub fn first_divergence(&self) -> Option<usize> {
         self.first_divergence
     }
 
+    /// Machine 0's state digest — the one every other machine is
+    /// compared against. `None` before anything is absorbed.
+    pub fn reference_digest(&self) -> Option<[u8; 32]> {
+        self.reference_digest
+    }
+
     /// Bytes of state this fold keeps resident: the struct itself, the
-    /// latency sketch's buckets, the capped anomaly lists, and the
-    /// logarithmic digest-tree frontier. This is the number the scale
-    /// benchmark compares against `machines × sizeof(MachineOutcome)`.
+    /// latency sketch's buckets, the capped anomaly and exemplar lists,
+    /// the reorder buffer at its high-water mark, and the logarithmic
+    /// digest-tree frontier. This is the number the scale benchmark
+    /// compares against `machines × sizeof(MachineOutcome)`.
     pub fn resident_bytes(&self) -> u64 {
-        std::mem::size_of::<OutcomeFold>() as u64
+        let outcome = std::mem::size_of::<MachineOutcome>();
+        (std::mem::size_of::<OutcomeFold>()
+            + self.dwell_anomalies.capacity() * std::mem::size_of::<usize>()
+            + self.dwell_anomaly_smis.capacity() * std::mem::size_of::<(usize, u64, SmiCause)>()
+            + self.exemplars.capacity() * outcome
+            + self.reorder_high_water * (outcome + std::mem::size_of::<usize>())) as u64
             + self.latency.resident_bytes()
-            + (self.dwell_anomalies.capacity() * std::mem::size_of::<usize>()) as u64
-            + (self.dwell_anomaly_smis.capacity() * std::mem::size_of::<(usize, u64, SmiCause)>())
-                as u64
             + self.tree.resident_bytes()
     }
 }
@@ -274,6 +248,32 @@ impl OutcomeFold {
 impl Default for OutcomeFold {
     fn default() -> Self {
         OutcomeFold::new()
+    }
+}
+
+/// Whether an outcome is unremarkable enough to drop after absorbing:
+/// applied first try, no fault fired, within the dwell budget, never
+/// rolled back, and admitted.
+fn is_clean(o: &MachineOutcome) -> bool {
+    o.ok && o.retries == 0
+        && o.faults_injected == 0
+        && o.smm_overbudget == 0
+        && !o.rolled_back
+        && !o.rollback_failed
+        && !o.recovery_failed
+        && o.admitted
+}
+
+/// Push `item()` onto `list` unless it already holds
+/// [`DWELL_ANOMALY_CAP`] entries, in which case count the overflow in
+/// `truncated` instead. Returns whether the item was kept.
+fn push_capped<T>(list: &mut Vec<T>, truncated: &mut u64, item: impl FnOnce() -> T) -> bool {
+    if list.len() < DWELL_ANOMALY_CAP {
+        list.push(item());
+        true
+    } else {
+        *truncated += 1;
+        false
     }
 }
 
@@ -307,82 +307,27 @@ mod tests {
     }
 
     #[test]
-    fn fold_merge_equals_sequential_fold() {
-        // 23 machines, a retry, a failure, a digest divergence — split
-        // across three adjacent folds, merged left to right, must match
-        // one sequential fold bit for bit where it matters.
-        let outcomes: Vec<MachineOutcome> = (0..23)
-            .map(|m| {
-                let ok = m != 7;
-                let digest = if m == 19 { 9 } else { 4 };
-                outcome(m, ok, 1_000 + m as u64 * 37, digest)
-            })
-            .collect();
-        let mut sequential = OutcomeFold::new();
-        for o in &outcomes {
-            sequential.absorb(o);
-        }
-        let mut merged = OutcomeFold::new();
-        for range in [0..10usize, 10..16, 16..23] {
-            let mut part = OutcomeFold::starting_at(range.start);
-            for o in &outcomes[range] {
-                part.absorb(o);
-            }
-            merged.merge(&part).expect("adjacent ranges merge");
-        }
-        assert_eq!(merged.machines(), 23);
-        assert_eq!(merged.succeeded, sequential.succeeded);
-        assert_eq!(merged.failed, sequential.failed);
-        assert_eq!(merged.retries, sequential.retries);
-        assert_eq!(merged.merkle_root(), sequential.merkle_root());
-        assert_eq!(merged.slowest_sim_clock, sequential.slowest_sim_clock);
-        assert_eq!(merged.latency.count(), sequential.latency.count());
-        assert_eq!(merged.latency.max(), sequential.latency.max());
-        assert_eq!(merged.first_divergence(), Some(19));
-        assert_eq!(sequential.first_divergence(), Some(19));
-        assert!(!merged.all_identical_digests());
-    }
-
-    #[test]
     fn uniform_fleet_reads_as_identical() {
+        // Retire 64 machines in reversed blocks of 8, as eight
+        // pipelined workers might: the reorder buffer must hand them to
+        // the fold in machine order, holding at most one block back.
         let mut fold = OutcomeFold::new();
-        for m in 0..64 {
-            fold.absorb(&outcome(m, true, 500, 3));
+        for block in 0..8 {
+            for m in (block * 8..block * 8 + 8).rev() {
+                fold.retire(outcome(m, true, 500, 3));
+            }
+            assert_eq!(fold.pending(), 0, "block {block} drained");
         }
+        assert_eq!(fold.machines(), 64);
+        assert_eq!(fold.reorder_high_water, 7);
         assert!(fold.all_identical_digests());
         assert_eq!(fold.first_divergence(), None);
+        assert_eq!(fold.reference_digest(), Some([3u8; 32]));
+        assert!(fold.exemplars.is_empty(), "clean outcomes are not kept");
         // The root matches a tree built from the digest vector — the
         // equality the scale benchmark asserts at fleet size.
         let leaves = vec![[3u8; 32]; 64];
         assert_eq!(fold.merkle_root(), DigestTree::from_leaves(&leaves).root());
-    }
-
-    #[test]
-    fn divergence_at_a_merge_boundary_names_the_right_start() {
-        // Left range uniform with digest A; right range uniform with
-        // digest B: the divergence is the right range's first machine,
-        // which no within-range tracker saw.
-        let mut left = OutcomeFold::new();
-        for m in 0..8 {
-            left.absorb(&outcome(m, true, 100, 1));
-        }
-        let mut right = OutcomeFold::starting_at(8);
-        for m in 8..16 {
-            right.absorb(&outcome(m, true, 100, 2));
-        }
-        assert!(left.all_identical_digests());
-        assert!(right.all_identical_digests());
-        left.merge(&right).expect("adjacent");
-        assert_eq!(left.first_divergence(), Some(8));
-    }
-
-    #[test]
-    fn non_adjacent_merge_is_rejected() {
-        let mut left = OutcomeFold::new();
-        left.absorb(&outcome(0, true, 100, 1));
-        let mut gap = OutcomeFold::starting_at(5);
-        gap.absorb(&outcome(5, true, 100, 1));
-        assert!(left.merge(&gap).is_err());
     }
 
     #[test]
@@ -397,17 +342,22 @@ mod tests {
         assert_eq!(fold.dwell_anomalies.len(), DWELL_ANOMALY_CAP);
         assert_eq!(fold.dwell_anomaly_smis.len(), DWELL_ANOMALY_CAP);
         assert_eq!(fold.dwell_anomalies_truncated, 10);
-        // Merging another saturated fold keeps the cap and folds the
-        // overflow into the truncation counter.
-        let mut right = OutcomeFold::starting_at(DWELL_ANOMALY_CAP + 10);
-        for m in DWELL_ANOMALY_CAP + 10..DWELL_ANOMALY_CAP + 20 {
-            let mut o = outcome(m, true, 100, 1);
-            o.smm_overbudget = 1;
-            right.absorb(&o);
-        }
-        fold.merge(&right).expect("adjacent");
-        assert_eq!(fold.dwell_anomalies.len(), DWELL_ANOMALY_CAP);
-        assert_eq!(fold.dwell_anomalies_truncated, 20);
+        // Every flagged machine is also an exemplar: the same cap, the
+        // same overflow count, and the kept outcomes are the first ones.
+        assert_eq!(fold.exemplars.len(), DWELL_ANOMALY_CAP);
+        assert_eq!(fold.exemplars_truncated, 10);
+        assert!(fold
+            .exemplars
+            .iter()
+            .enumerate()
+            .all(|(i, o)| o.machine == i && o.smm_overbudget == 1));
+        // A failure past the cap is still counted, in both the verdict
+        // counters and the exemplar overflow.
+        fold.absorb(&outcome(DWELL_ANOMALY_CAP + 10, false, 100, 1));
+        assert_eq!(fold.failed, 1);
+        assert_eq!(fold.exemplars.len(), DWELL_ANOMALY_CAP);
+        assert_eq!(fold.exemplars_truncated, 11);
+        assert_eq!(fold.dwell_anomalies_truncated, 10);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! * **Deterministic machines, concurrent fleet.** Each machine stays
 //!   deterministic and single-threaded (its own clock, its own
 //!   splitmix64-derived seed); only the *sharding* across workers is
-//!   concurrent. Round-robin sharding makes the machine→worker mapping
-//!   deterministic too.
+//!   concurrent. Machine `i` runs on worker `i % workers`
+//!   (round-robin), so early machines — a rollout's canary, the health
+//!   plane's first windows — are spread across every worker.
 //! * **Pipelined sessions hide the link.** Campaign wall time is
 //!   dominated by the orchestrator↔machine RTT, not compute. Each
 //!   worker is an event-driven scheduler over resumable
@@ -27,27 +28,39 @@
 //!   [`FleetConfig::with_pipeline_depth`] > 1 it steps other machines'
 //!   CPU phases while one machine's delivery is in flight, parking
 //!   waits on a deadline min-heap instead of blocking in
-//!   `thread::sleep`. Every resumed step re-enters the machine's own
-//!   recorder scope, so simulated-domain results are byte-identical at
+//!   `thread::sleep`. A step computes only from its own machine's
+//!   state (and, when streaming, runs under that machine's own
+//!   recorder scope), so simulated-domain results are byte-identical at
 //!   every depth; [`CampaignReport::worker_occupancy`] shows the
 //!   busy/in-flight split the pipelining buys.
 //! * **Failure is expected.** A campaign can plan per-machine faults
 //!   (via `kshot-machine`'s injection engine); a failed session is
 //!   recovered with [`kshot_core::KShot::recover`] and retried under
 //!   simulated exponential backoff, up to a configurable attempt cap.
-//! * **One merged report.** Every machine records into its own
-//!   thread-local `kshot-telemetry` recorder; the campaign merges them
-//!   and summarizes latency percentiles, throughput (simulated and
-//!   wall-clock), retry/failure counts, and cache effectiveness in a
-//!   [`CampaignReport`].
+//! * **One ordered fold.** Every campaign folds its outcomes the same
+//!   way: the worker that retires a machine hands its
+//!   [`MachineOutcome`] to the campaign's single [`OutcomeFold`],
+//!   whose reorder buffer absorbs outcomes in machine order whatever
+//!   order pipelined workers retire them in. The fold keeps counters, a
+//!   mergeable latency sketch, capped dwell attribution, a capped ring
+//!   of *exemplars* (full outcomes of every machine that failed,
+//!   retried, faulted, overstayed its dwell budget, rolled back, or was
+//!   never admitted), and a [`kshot_telemetry::DigestTree`] Merkle
+//!   roll-up whose root stands in for the digest vector. Clean outcomes
+//!   are dropped once absorbed, so resident state is O(log machines),
+//!   and the [`CampaignReport`] is assembled from the fold alone.
+//!   Per-worker session arenas recycle the booted kernel image across a
+//!   worker's machines.
 //! * **Streaming observability.** With [`FleetConfig::with_stream_dir`]
 //!   each worker streams its machines' telemetry to a per-worker
-//!   `worker-<N>.jsonl` shard as it happens; the shards re-aggregate
-//!   (via [`kshot_telemetry::ShardData`]) to exactly the in-memory
-//!   merged totals, so `summaries_only` campaigns can drop the record
-//!   stream without losing anything. An SMM dwell-time watchdog
-//!   ([`FleetConfig::with_smm_dwell_budget`]) flags machines whose SMIs
-//!   overstay their budget in [`CampaignReport::dwell_anomalies`].
+//!   `worker-<N>.jsonl` shard as it happens, and the campaign closes
+//!   with one Merkle roll-up line in `rollup.jsonl`. The shards
+//!   re-aggregate (via [`kshot_telemetry::ShardData`]) to exactly the
+//!   campaign recorder's metric totals; the record stream itself lives
+//!   only on disk. Unstreamed campaigns record no telemetry at all. An
+//!   SMM dwell-time watchdog ([`FleetConfig::with_smm_dwell_budget`])
+//!   flags machines whose SMIs overstay their budget in the fold's
+//!   dwell-anomaly list.
 //! * **Live health plane.** [`FleetConfig::with_health`] arms a
 //!   [`kshot_telemetry::HealthMonitor`] thread that tails the worker
 //!   shards *while the campaign runs*, folds machines into fixed
@@ -97,20 +110,6 @@
 //!   point, and rollback set are byte-identical across worker counts
 //!   and pipeline depths; the [`RolloutReport`] lands in
 //!   [`CampaignReport::rollout`].
-//! * **Million-machine folding.** [`FleetConfig::with_outcome_fold`]
-//!   is the memory-bounded mode for very large fleets: machines are
-//!   sharded contiguously, each worker absorbs outcomes into an
-//!   [`OutcomeFold`] (counters, a mergeable latency sketch, capped
-//!   dwell attribution, and a [`kshot_telemetry::DigestTree`] Merkle
-//!   roll-up) the moment a session retires, and the campaign merges
-//!   the per-worker folds left to right. Resident state is O(workers ×
-//!   pipeline_depth + log machines) instead of O(machines); root
-//!   equality of the digest roll-up replaces the all-pairs digest
-//!   comparison, and [`kshot_telemetry::FullDigestTree`] can name the
-//!   first diverging machine between two retained runs. Per-worker
-//!   session arenas recycle the booted kernel image across a worker's
-//!   machines, so fold-mode campaigns also stop paying a fresh
-//!   multi-megabyte image clone per machine.
 
 pub mod campaign;
 pub mod config;

@@ -63,7 +63,12 @@ fn health_stream_is_byte_identical_across_schedulers() {
             .with_stream_dir(&dir)
             .with_health(policy(), WINDOW);
         let report = run_campaign(target, bytes, &config);
-        assert_eq!(report.succeeded, MACHINES, "{label}: {:?}", report.outcomes);
+        assert_eq!(
+            report.succeeded,
+            MACHINES,
+            "{label}: {:?}",
+            report.exemplars()
+        );
         assert_eq!(report.retries, 1, "{label}");
         let health = report.health.clone().expect("armed monitor reports");
 

@@ -47,7 +47,7 @@ fn probe_dwell_ns() -> u64 {
         let (target, bytes) = fixture();
         let report = run_campaign(target, bytes, &FleetConfig::new(1, 1).with_seed(0xD0E5));
         assert_eq!(report.succeeded, 1);
-        let dwell = report.outcomes[0].max_smm_dwell.as_ns();
+        let dwell = report.fold.max_smm_dwell.as_ns();
         assert!(dwell > 0, "a patch session dwells in SMM");
         dwell
     })
@@ -152,7 +152,7 @@ fn four_attacks_are_detected_with_typed_reasons() {
 
     // Every attack is covert with respect to the patch itself: the
     // sessions all succeed — detection is the integrity plane's job.
-    assert_eq!(report.succeeded, MACHINES, "{:?}", report.outcomes);
+    assert_eq!(report.succeeded, MACHINES, "{:?}", report.exemplars());
 
     let integrity = report.integrity.as_ref().expect("armed integrity reports");
     assert!(integrity.records_checked >= MACHINES as u64 * 2);
@@ -271,27 +271,32 @@ fn integrity_halt_drives_wave_auto_rollback() {
         ref_config.max_attempts = 1;
         let ref_report = run_campaign(target, bytes, &ref_config);
         assert_eq!(ref_report.failed, 1);
-        ref_report.outcomes[0].state_digest
+        ref_report
+            .exemplar(0)
+            .expect("the failed twin")
+            .state_digest
     };
     assert_ne!(never_patched, [0u8; 32]);
-    let o = &report.outcomes;
-    for canary in [0, 1] {
-        assert!(o[canary].ok && !o[canary].rolled_back);
-        assert_ne!(
-            o[canary].state_digest, never_patched,
-            "canary stays patched"
-        );
-    }
-    for (machine, reverted) in o.iter().enumerate().take(6).skip(2) {
+    // The canary is clean — kept only as the fold's reference digest,
+    // which every patched machine shares.
+    assert!(report.exemplar(0).is_none() && report.exemplar(1).is_none());
+    assert_ne!(
+        report.fold.reference_digest(),
+        Some(never_patched),
+        "canary stays patched"
+    );
+    for machine in 2..6 {
+        let reverted = report.exemplar(machine).expect("rolled-back exemplar");
         assert!(reverted.rolled_back, "{reverted:?}");
         assert_eq!(
             reverted.state_digest, never_patched,
             "machine {machine}: rollback must restore the pre-patch state"
         );
     }
-    for skipped in o.iter().take(8).skip(6) {
-        assert!(!skipped.admitted);
+    for machine in 6..8 {
+        assert!(!report.exemplar(machine).expect("never admitted").admitted);
     }
+    assert_eq!(report.exemplars().len(), 6, "waves 1 and 2, nothing else");
 
     let integrity = report.integrity.as_ref().expect("armed integrity reports");
     assert_eq!(integrity.violating_machines, vec![3]);
@@ -337,7 +342,12 @@ fn clean_smi_stream_is_byte_identical_across_schedulers_and_modes() {
             .with_catalogue(blobs.clone())
             .with_batched_smi(batched);
         let report = run_campaign(&target, &[], &config);
-        assert_eq!(report.succeeded, MACHINES, "{label}: {:?}", report.outcomes);
+        assert_eq!(
+            report.succeeded,
+            MACHINES,
+            "{label}: {:?}",
+            report.exemplars()
+        );
 
         // Clean run: every SMI replayed, zero violations, bounded
         // resident memory.

@@ -63,11 +63,11 @@ proptest! {
 
         let report = run_campaign(target, bytes, &config);
 
-        prop_assert_eq!(report.succeeded, machines, "outcomes: {:?}", report.outcomes);
+        prop_assert_eq!(report.succeeded, machines, "exemplars: {:?}", report.exemplars());
         prop_assert_eq!(report.failed, 0);
         prop_assert!(report.all_identical_digests(),
-            "divergent applied state: {:?}",
-            report.outcomes.iter().map(|o| o.state_digest[0]).collect::<Vec<_>>());
+            "divergent applied state from machine {:?}",
+            report.fold.first_divergence());
         // The bundle was decoded at most once per concurrent race, and
         // every attempt (one per machine, plus one per retry) went
         // through the cache.
@@ -79,7 +79,7 @@ proptest! {
         if faulted_in_range {
             prop_assert_eq!(report.faults_injected, 1);
             prop_assert_eq!(report.retries, 1);
-            prop_assert_eq!(report.outcomes[faulted].attempts, 2);
+            prop_assert_eq!(report.exemplar(faulted).map(|o| o.attempts), Some(2));
         } else {
             prop_assert_eq!(report.retries, 0);
         }
@@ -92,8 +92,8 @@ proptest! {
 /// change, so every other observable is comparable field-by-field.
 #[derive(Debug, PartialEq)]
 struct SimDomainFingerprint {
-    /// Per-machine sim-domain results, in machine order.
-    outcomes: Vec<OutcomeRow>,
+    /// Merkle root over every machine's state digest, in machine order.
+    digest_root: [u8; 32],
     /// Counter totals re-aggregated from the streamed shard files. The
     /// `cache.bundle_hit`/`cache.bundle_miss` split depends on which
     /// workers race the first decode (the existing property only bounds
@@ -106,13 +106,12 @@ struct SimDomainFingerprint {
     /// Span/event record counts across all shards.
     spans: u64,
     events: u64,
-    /// The per-machine outcome lines from the shards, keyed by machine:
-    /// (worker, ok, attempts, sim_clock_ns).
-    machine_lines: BTreeMap<u64, (u64, bool, u64, u64)>,
+    /// The per-machine outcome lines from the shards, keyed by machine.
+    machine_lines: BTreeMap<u64, MachineRow>,
 }
 
-/// (machine, ok, attempts, retries, sim_clock_ns, latency_ns, digest).
-type OutcomeRow = (usize, bool, u32, u64, u64, Option<u64>, [u8; 32]);
+/// (worker, ok, attempts, retries, sim_clock_ns, latency_ns).
+type MachineRow = (u64, bool, u64, u64, u64, Option<u64>);
 
 fn fingerprint(report: &CampaignReport, stream_dir: &Path, workers: usize) -> SimDomainFingerprint {
     let mut shards = ShardData::new();
@@ -136,27 +135,15 @@ fn fingerprint(report: &CampaignReport, stream_dir: &Path, workers: usize) -> Si
                     field("worker"),
                     matches!(v.get("ok"), Some(Value::Bool(true))),
                     field("attempts"),
+                    field("retries"),
                     field("sim_clock_ns"),
+                    v.get("latency_ns").and_then(Value::as_u64),
                 ),
             )
         })
         .collect();
     SimDomainFingerprint {
-        outcomes: report
-            .outcomes
-            .iter()
-            .map(|o| {
-                (
-                    o.machine,
-                    o.ok,
-                    o.attempts,
-                    o.retries,
-                    o.sim_clock.as_ns(),
-                    o.latency.map(|t| t.as_ns()),
-                    o.state_digest,
-                )
-            })
-            .collect(),
+        digest_root: report.digest_root(),
         counters: {
             let mut counters = shards.counters.clone();
             let lookups = counters.remove("cache.bundle_hit").unwrap_or(0)
@@ -200,7 +187,12 @@ fn pipelining_and_sharding_preserve_the_simulated_domain() {
     let run = |label: &str, workers: usize, depth: usize| {
         let dir = scratch.join(label);
         let report = run_campaign(target, bytes, &base(workers, depth).with_stream_dir(&dir));
-        assert_eq!(report.succeeded, MACHINES, "{label}: {:?}", report.outcomes);
+        assert_eq!(
+            report.succeeded,
+            MACHINES,
+            "{label}: {:?}",
+            report.exemplars()
+        );
         assert_eq!(report.retries, 1, "{label}");
         assert_eq!(report.faults_injected, 1, "{label}");
         assert!(report.all_identical_digests(), "{label}");
@@ -219,8 +211,8 @@ fn pipelining_and_sharding_preserve_the_simulated_domain() {
         // Worker assignment moves with the worker count; everything
         // else must match the sequential reference bit-for-bit.
         assert_eq!(
-            fp.outcomes, reference.outcomes,
-            "{label}: outcomes diverged"
+            fp.digest_root, reference.digest_root,
+            "{label}: state digests diverged"
         );
         assert_eq!(
             fp.counters, reference.counters,
@@ -235,9 +227,13 @@ fn pipelining_and_sharding_preserve_the_simulated_domain() {
             fp.events, reference.events,
             "{label}: event counts diverged"
         );
-        let strip = |m: &BTreeMap<u64, (u64, bool, u64, u64)>| -> BTreeMap<u64, (bool, u64, u64)> {
-            m.iter().map(|(k, v)| (*k, (v.1, v.2, v.3))).collect()
+        // Per-machine (ok, attempts, retries, sim clock, latency) rows.
+        let strip = |m: &BTreeMap<u64, MachineRow>| -> BTreeMap<u64, MachineRow> {
+            m.iter()
+                .map(|(k, v)| (*k, (0, v.1, v.2, v.3, v.4, v.5)))
+                .collect()
         };
+        assert_eq!(fp.machine_lines.len(), MACHINES, "{label}");
         assert_eq!(
             strip(&fp.machine_lines),
             strip(&reference.machine_lines),

@@ -76,7 +76,7 @@ pub use health::{
     SMM_DWELL_METRIC,
 };
 pub use integrity::{IntegrityMonitor, IntegrityPolicy, IntegrityReport, IntegrityVerdict};
-pub use merkle::{DigestTree, FrontierNode, FullDigestTree, MerkleError};
+pub use merkle::{DigestTree, FrontierNode, MerkleError};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS_NS};
 pub use phase::{PhaseProfile, PhaseStats, PHASES, PHASE_PREFIX};
 pub use record::{json_escape, EventRecord, Field, Record, SpanRecord, Value};

@@ -17,15 +17,12 @@
 //!   scheduling.
 //! * **Adjacent-range merge.** A tree over machines `[a, b)` merges
 //!   with a tree over `[b, c)` into exactly the tree sequential appends
-//!   over `[a, c)` would have built, in O(log n). Workers accumulate
-//!   their contiguous shard locally and the campaign folds the worker
-//!   trees left to right.
+//!   over `[a, c)` would have built, in O(log n). Offline readers use
+//!   this to join roll-ups reconstructed from shard lines.
 //! * **Root equality replaces digest-vector equality.** Two campaigns
 //!   over the same machine count converged to identical per-machine
 //!   state iff their roots are byte-identical (modulo SHA-256
-//!   collisions). When roots differ, [`FullDigestTree`] — the O(n)
-//!   diagnostic built only on divergence — descends the tree to name
-//!   the first diverging machine index in O(log n) hash comparisons.
+//!   collisions).
 //!
 //! Node hashes are domain-separated SHA-256: leaves enter raw (they are
 //! already digests), interior nodes hash `0x01 ‖ left ‖ right`, and the
@@ -294,139 +291,6 @@ impl DigestTree {
     }
 }
 
-/// The O(n) diagnostic tree: every interior node of the forest
-/// [`DigestTree`] would build over the same leaves, retained level by
-/// level so [`first_divergence`](Self::first_divergence) can descend
-/// from a differing peak to the exact first diverging leaf. Built only
-/// when roots differ (or in tests) — campaigns never retain it.
-#[derive(Debug, Clone)]
-pub struct FullDigestTree {
-    /// `levels[l]` maps a level-`l` node index to its hash. `levels[0]`
-    /// is the leaves by absolute position.
-    levels: Vec<std::collections::BTreeMap<u64, Digest>>,
-    /// `(level, index)` of each forest peak, ascending by first leaf.
-    peaks: Vec<(u32, u64)>,
-}
-
-impl FullDigestTree {
-    /// Build the full tree over `leaves` (positions `0..len`).
-    pub fn from_leaves(leaves: &[Digest]) -> FullDigestTree {
-        let mut levels: Vec<std::collections::BTreeMap<u64, Digest>> = vec![leaves
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i as u64, *d))
-            .collect()];
-        // Combine full sibling pairs level by level; an unpaired tail
-        // node stays a peak of its level.
-        loop {
-            let top = levels.last().expect("at least the leaf level");
-            if top.len() <= 1 {
-                break;
-            }
-            let mut next = std::collections::BTreeMap::new();
-            for (&index, hash) in top.iter() {
-                if index % 2 == 0 {
-                    if let Some(sibling) = top.get(&(index + 1)) {
-                        next.insert(index >> 1, combine(hash, sibling));
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            levels.push(next);
-        }
-        // The peaks are the nodes no level above covers, ascending by
-        // first leaf: exactly the canonical forest decomposition.
-        let mut peaks = Vec::new();
-        let mut cursor = 0u64;
-        let total = leaves.len() as u64;
-        while cursor < total {
-            // Largest aligned perfect subtree starting at `cursor` that
-            // fits in the remainder.
-            let align = if cursor == 0 {
-                u32::MAX
-            } else {
-                cursor.trailing_zeros()
-            };
-            let remainder = total - cursor;
-            let mut level = align.min(63);
-            while (1u64 << level) > remainder {
-                level -= 1;
-            }
-            peaks.push((level, cursor >> level));
-            cursor += 1u64 << level;
-        }
-        FullDigestTree { levels, peaks }
-    }
-
-    /// The root — identical to [`DigestTree::from_leaves`]`.root()`
-    /// over the same leaves.
-    pub fn root(&self) -> Digest {
-        let mut acc: Option<Digest> = None;
-        for &(level, index) in &self.peaks {
-            let hash = self.levels[level as usize][&index];
-            acc = Some(match acc {
-                None => hash,
-                Some(a) => bag(&a, &hash),
-            });
-        }
-        acc.unwrap_or(EMPTY_ROOT)
-    }
-
-    /// The first leaf position where this tree and `other` differ, by
-    /// descending from the first differing peak: at every interior node
-    /// compare the left children and follow the first mismatch —
-    /// O(log n) hash comparisons once built. `None` when the trees are
-    /// identical. Both trees must cover the same leaf count; trees of
-    /// different sizes diverge structurally at the shorter one's length.
-    pub fn first_divergence(&self, other: &FullDigestTree) -> Option<u64> {
-        let my_len = self.levels[0].len() as u64;
-        let other_len = other.levels[0].len() as u64;
-        if my_len != other_len {
-            // Shared-prefix leaves may still diverge earlier than the
-            // length mismatch; check the overlapping peaks first.
-            let shorter = my_len.min(other_len);
-            // The shorter tree's peaks are all interior (or peak) nodes
-            // of the longer tree too, so compare them positionally —
-            // both levels maps retain every combined node over the
-            // shared prefix.
-            let short_peaks = if my_len < other_len {
-                &self.peaks
-            } else {
-                &other.peaks
-            };
-            for &(level, index) in short_peaks {
-                let mine = self.levels.get(level as usize).and_then(|m| m.get(&index));
-                let theirs = other.levels.get(level as usize).and_then(|m| m.get(&index));
-                if mine != theirs {
-                    return Some(self.descend(other, level, index));
-                }
-            }
-            return Some(shorter);
-        }
-        for &(level, index) in &self.peaks {
-            if self.levels[level as usize][&index] != other.levels[level as usize][&index] {
-                return Some(self.descend(other, level, index));
-            }
-        }
-        None
-    }
-
-    /// Walk down from a differing node to the first differing leaf.
-    fn descend(&self, other: &FullDigestTree, mut level: u32, mut index: u64) -> u64 {
-        while level > 0 {
-            let child_level = (level - 1) as usize;
-            let left = index << 1;
-            let mine = self.levels[child_level].get(&left);
-            let theirs = other.levels[child_level].get(&left);
-            index = if mine != theirs { left } else { left + 1 };
-            level -= 1;
-        }
-        index
-    }
-}
-
 /// Interior combine: `SHA-256(0x01 ‖ left ‖ right)`.
 fn combine(left: &Digest, right: &Digest) -> Digest {
     tagged_pair_hash(0x01, left, right)
@@ -660,53 +524,6 @@ mod tests {
             DigestTree::from_frontier(0, 13, nodes),
             Err(MerkleError::BadFrontier { .. })
         ));
-    }
-
-    #[test]
-    fn full_tree_root_matches_accumulator() {
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 64, 100, 255] {
-            let leaves: Vec<Digest> = (0..n as u64).map(leaf).collect();
-            assert_eq!(
-                FullDigestTree::from_leaves(&leaves).root(),
-                DigestTree::from_leaves(&leaves).root(),
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn divergence_locator_names_the_exact_leaf() {
-        let leaves: Vec<Digest> = (0..100).map(|_| leaf(7)).collect();
-        let reference = FullDigestTree::from_leaves(&leaves);
-        for perturb in [0usize, 1, 31, 32, 63, 64, 97, 99] {
-            let mut other = leaves.clone();
-            other[perturb] = leaf(8);
-            let diverged = FullDigestTree::from_leaves(&other);
-            assert_eq!(
-                reference.first_divergence(&diverged),
-                Some(perturb as u64),
-                "perturbed {perturb}"
-            );
-            assert_eq!(diverged.first_divergence(&reference), Some(perturb as u64));
-        }
-        assert_eq!(
-            reference.first_divergence(&FullDigestTree::from_leaves(&leaves)),
-            None
-        );
-    }
-
-    #[test]
-    fn divergence_of_different_lengths_is_the_shorter_length_or_earlier() {
-        let long: Vec<Digest> = (0..10).map(leaf).collect();
-        let short = &long[..6];
-        let a = FullDigestTree::from_leaves(&long);
-        let b = FullDigestTree::from_leaves(short);
-        assert_eq!(a.first_divergence(&b), Some(6));
-        // A corrupted shared prefix wins over the length mismatch.
-        let mut corrupt = short.to_vec();
-        corrupt[2] = leaf(99);
-        let c = FullDigestTree::from_leaves(&corrupt);
-        assert_eq!(a.first_divergence(&c), Some(2));
     }
 
     #[test]

@@ -249,18 +249,6 @@ impl QuantileSketch {
         self.max
     }
 
-    /// The bracket the error contract puts around the exact
-    /// nearest-rank sample `x` for quantile `q`: the estimate `e`
-    /// satisfies `x ≤ e ≤ x·γ`, so `x` lies in `[e·1000/(1000+γ‰), e]`.
-    /// Lets report consumers state "p95 is between A and B ns" without
-    /// re-deriving the γ arithmetic.
-    pub fn quantile_bounds_per_mille(&self, q: u64) -> (u64, u64) {
-        let e = self.quantile_per_mille(q);
-        let lower =
-            (u128::from(e) * 1000 / (1000 + u128::from(Self::MAX_RELATIVE_ERROR_PER_MILLE))) as u64;
-        (lower, e)
-    }
-
     /// Serialize as one JSON line under the crate schema version:
     /// `{"type":"sketch","v":1,"name":...,"count":...,"sum":...,
     /// "zeros":...,"min":...,"max":...,"idx":[...],"counts":[...]}`.

@@ -116,12 +116,12 @@ fn main() {
     let pipeline_speedup = pipelined.throughput_wall / serial.throughput_wall;
     // Scheduling may only change *when* sessions run, never what they
     // compute: the pipelined single worker must land machine-for-machine
-    // on the sequential run's digests and simulated clocks.
-    let identical = serial
-        .outcomes
-        .iter()
-        .zip(&pipelined.outcomes)
-        .all(|(a, b)| a.state_digest == b.state_digest && a.sim_clock == b.sim_clock);
+    // on the sequential run's digests (the Merkle root commits to every
+    // one, in machine order), latency distribution and simulated clock.
+    let identical = serial.digest_root() == pipelined.digest_root()
+        && serial.fold.latency.to_json_line("latency")
+            == pipelined.fold.latency.to_json_line("latency")
+        && serial.fold.slowest_sim_clock == pipelined.fold.slowest_sim_clock;
     println!("\nwall-clock speedup 8 workers vs 1:               {speedup:.2}x");
     println!("wall-clock speedup depth {PIPELINE_DEPTH} vs 1 (1 worker):   {pipeline_speedup:.2}x");
     println!("pipelined digests identical to sequential run:   {identical}");
@@ -232,7 +232,7 @@ fn main() {
                 "batched fleet machines failed"
             );
             assert!(report.all_identical_digests(), "applied state diverged");
-            let digest = report.outcomes[0].state_digest;
+            let digest = report.digest_root();
             match grid_digest {
                 None => grid_digest = Some(digest),
                 Some(prev) => assert_eq!(
@@ -258,13 +258,11 @@ fn main() {
     for k in [1usize, 2, 4] {
         let seq = best_of(&batch_config(false, 8, 4, k));
         let bat = best_of(&batch_config(true, 8, 4, k));
-        for (a, b) in seq.outcomes.iter().zip(&bat.outcomes) {
-            assert_eq!(
-                a.state_digest, b.state_digest,
-                "k={k}: batched diverged from sequential on machine {}",
-                a.machine
-            );
-        }
+        assert_eq!(
+            seq.digest_root(),
+            bat.digest_root(),
+            "k={k}: batched diverged from sequential"
+        );
         if k > 1 {
             // The saved SMI entry/exit/keygen cost is exact in the
             // simulated domain.
@@ -319,15 +317,16 @@ fn main() {
     // Million-machine scale stage: outcome folding + Merkle roll-up.
     // Three measurements land in the "scale" block:
     //
-    //  * root identity — fold campaigns across workers {1,8} × depths
-    //    {1,4} produce one byte-identical Merkle root;
-    //  * root vs vector — a fold run of the 64-machine fleet above
-    //    reproduces exactly the root of the retained run's full digest
-    //    vector (the incremental roll-up loses nothing);
-    //  * resident bound — a ≥100k-machine fold campaign (override the
-    //    size with `KSHOT_SCALE_MACHINES`) retains orders of magnitude
-    //    less than the equivalent outcome vector would, measured
-    //    against the retained runs' actual per-outcome footprint.
+    //  * root identity — campaigns across workers {1,8} × depths {1,4}
+    //    produce one byte-identical Merkle root;
+    //  * root vs vector — a run of the 64-machine fleet above
+    //    reproduces exactly the root of the fleet's full digest vector
+    //    (the incremental roll-up loses nothing);
+    //  * resident bound — a ≥100k-machine campaign (override the size
+    //    with `KSHOT_SCALE_MACHINES`) keeps orders of magnitude less
+    //    than the equivalent outcome vector would, priced at
+    //    `size_of::<MachineOutcome>()` — a lower bound, since it leaves
+    //    out each outcome's flight-ring and error-string heap.
     let scale_machines: usize = std::env::var("KSHOT_SCALE_MACHINES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -339,7 +338,6 @@ fn main() {
         FleetConfig::new(machines, workers)
             .with_seed(0x5CA1E)
             .with_pipeline_depth(depth)
-            .with_outcome_fold()
     };
     let mut grid_root = None;
     let mut merkle_root_identical = true;
@@ -349,8 +347,7 @@ fn main() {
             report.succeeded, GRID_MACHINES,
             "scale grid machines failed"
         );
-        assert!(report.outcomes.is_empty(), "fold mode retains no outcomes");
-        let fold = report.fold.as_ref().expect("fold mode carries the fold");
+        let fold = &report.fold;
         let root = fold.merkle_root();
         println!(
             "grid workers={workers} depth={depth}  machines={GRID_MACHINES}  \
@@ -368,45 +365,34 @@ fn main() {
         "Merkle root diverged across the workers x depths grid"
     );
 
-    // Root vs vector: the serial retained run above (same seed, same 64
-    // machines — outcome digests are scheduling- and RTT-independent)
-    // is the ground truth the incremental roll-up must reproduce.
-    let leaves: Vec<[u8; 32]> = serial.outcomes.iter().map(|o| o.state_digest).collect();
-    let vector_root = DigestTree::from_leaves(&leaves).root();
+    // Root vs vector: the serial run above (same seed, same 64 machines
+    // — outcome digests are scheduling- and RTT-independent) converged
+    // to one digest, so the fleet's digest vector is that digest 64
+    // times: the ground truth the incremental roll-up must reproduce.
+    let reference_digest = serial.fold.reference_digest().expect("serial run digest");
+    let vector_root = DigestTree::from_leaves(&vec![reference_digest; MACHINES]).root();
     let fold_64 = run_campaign(
         &target,
         &bytes,
         &fold_config(MACHINES, 4, 8).with_seed(0xF1EE7),
     );
-    let root_matches_digest_vector =
-        fold_64.fold.as_ref().expect("fold report").merkle_root() == vector_root;
-    println!(
-        "fold root == retained digest-vector root (64 machines): {root_matches_digest_vector}"
-    );
+    let root_matches_digest_vector = fold_64.digest_root() == vector_root;
+    println!("fold root == digest-vector root (64 machines): {root_matches_digest_vector}");
     assert!(
         root_matches_digest_vector,
         "roll-up diverged from the digest vector"
     );
 
-    // What one retained outcome actually costs in memory — measured
-    // from the retained runs above (struct + flight-ring heap + error
-    // strings), deliberately *excluding* each outcome's Arc<Recorder>
-    // record stream, so the comparison is against the leanest retained
-    // representation, not the fattest.
-    let outcome_bytes = |o: &MachineOutcome| {
-        std::mem::size_of::<MachineOutcome>()
-            + o.flight.capacity() * std::mem::size_of::<kshot::machine::SmiFlightRecord>()
-            + o.error.as_ref().map_or(0, |e| e.capacity())
-    };
-    let per_outcome: usize =
-        serial.outcomes.iter().map(outcome_bytes).sum::<usize>() / serial.outcomes.len().max(1);
+    // What one retained outcome would cost at the very least: the
+    // struct alone, without its flight-ring and error-string heap.
+    let per_outcome = std::mem::size_of::<MachineOutcome>();
 
     // The headline run: a fleet three-plus orders of magnitude past the
-    // retained-mode design point. One worker at depth 1 is the fastest
-    // grid point on a single-core host (interleaving live multi-MB
-    // machines thrashes the cache; extra workers just contend) — the
-    // cross-worker merge and pipelined reorder paths are already pinned
-    // by the root-identity grid above.
+    // 64-machine fleet above. One worker at depth 1 is the fastest grid
+    // point on a single-core host (interleaving live multi-MB machines
+    // thrashes the cache; extra workers just contend) — the
+    // multi-worker and pipelined reorder paths are already pinned by
+    // the root-identity grid above.
     let (scale_workers, scale_depth) = (1usize, 1usize);
     let scale_report = run_campaign(
         &target,
@@ -418,13 +404,13 @@ fn main() {
         "scale fleet machines failed"
     );
     assert!(scale_report.all_identical_digests(), "scale fleet diverged");
-    let scale_fold = scale_report.fold.as_ref().expect("fold report");
+    let scale_fold = &scale_report.fold;
     let fold_resident = scale_fold.resident_bytes() as usize;
     let retained_equiv = per_outcome * scale_machines;
     let resident_bounded = fold_resident * 10 < retained_equiv;
     println!(
         "scale  machines={scale_machines}  wall={:?}  {:.0} patches/s (wall)\n\
-         scale  fold resident: {} B   retained equivalent: {} B ({} B/outcome measured)\n\
+         scale  fold resident: {} B   retained equivalent: {} B ({} B/outcome, struct only)\n\
          scale  resident bounded (fold < 1/10th of retained): {resident_bounded}",
         scale_report.wall, scale_report.throughput_wall, fold_resident, retained_equiv, per_outcome,
     );
@@ -437,6 +423,7 @@ fn main() {
         "{{\"machines\":{scale_machines},\"workers\":{scale_workers},\"pipeline_depth\":{scale_depth},\
          \"wall_ms\":{},\"throughput_wall\":{:.1},\
          \"fold_resident_bytes\":{fold_resident},\
+         \"reorder_high_water\":{},\
          \"retained_equiv_bytes\":{retained_equiv},\
          \"per_outcome_bytes\":{per_outcome},\
          \"resident_bounded\":{resident_bounded},\
@@ -446,6 +433,7 @@ fn main() {
          \"merkle_root\":\"{}\"}}",
         scale_report.wall.as_millis(),
         scale_report.throughput_wall,
+        scale_fold.reorder_high_water,
         merkle::digest_hex(&scale_fold.merkle_root()),
     );
 

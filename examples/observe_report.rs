@@ -174,13 +174,15 @@ fn main() {
 
     // The lossless-streaming proof: disk == memory, field by field
     // (sketches included — `assert_metrics_match` compares them too).
+    // The record stream, and with it the phase profile, lives only on
+    // disk: the campaign recorder keeps metric totals.
     shards
         .assert_metrics_match(&report.recorder.metrics_snapshot())
         .expect("streamed metric totals equal the in-memory merge");
-    assert_eq!(
-        shards.phases,
-        report.phase_profile(),
-        "streamed phase samples diverge from the in-memory merge"
+    assert!(report.recorder.records().is_empty());
+    assert!(
+        shards.phases.total_samples() > 0,
+        "no phase samples streamed"
     );
     assert_eq!(shards.other_of_type("machine").count(), MACHINES);
     println!(
@@ -215,7 +217,7 @@ fn main() {
         );
     }
     assert_eq!(
-        report.dwell_anomalies,
+        report.fold.dwell_anomalies,
         vec![SLOW_MACHINE],
         "watchdog must flag exactly the slowed machine"
     );
@@ -270,13 +272,10 @@ fn main() {
     assert_eq!(health.report.total.ok, report.succeeded as u64);
     assert_eq!(health.report.total.failed, report.failed as u64);
     assert_eq!(health.report.total.retries, report.retries);
-    assert_eq!(health.report.total.smm_overbudget, {
-        report
-            .outcomes
-            .iter()
-            .map(|o| o.smm_overbudget)
-            .sum::<u64>()
-    });
+    assert_eq!(
+        health.report.total.smm_overbudget,
+        report.fold.smm_overbudget
+    );
     let merged_dwell = shards.sketch(SMM_DWELL_METRIC).expect("dwell sketch");
     assert_eq!(health.report.total.dwell_samples, merged_dwell.count());
     assert_eq!(
@@ -317,7 +316,7 @@ fn main() {
         report.machines,
         report.retries,
         report.faults_injected,
-        report.dwell_anomalies,
+        report.fold.dwell_anomalies,
         report.latency_p50,
         report.latency_p95,
         report.latency_max,

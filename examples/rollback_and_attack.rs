@@ -151,16 +151,19 @@ fn main() {
                 smm_write_index: 2,
             });
         twin.max_attempts = 1;
-        run_campaign(&target, &bundle, &twin).outcomes[0].state_digest
+        let twin = run_campaign(&target, &bundle, &twin);
+        twin.exemplar(0).expect("the failed twin").state_digest
     };
-    for (machine, o) in report.outcomes.iter().enumerate().take(6).skip(2) {
+    for machine in 2..6 {
+        let o = report.exemplar(machine).expect("rolled-back exemplar");
         assert!(o.rolled_back, "{o:?}");
         assert_eq!(
             o.state_digest, never_patched,
             "machine {machine}: rollback must equal never-patched"
         );
     }
-    assert_ne!(report.outcomes[0].state_digest, never_patched);
+    // The canary is clean: its digest is the fold's reference digest.
+    assert_ne!(report.fold.reference_digest(), Some(never_patched));
     println!("halted wave reverted to the never-patched digest; canary keeps its patch");
     let _ = std::fs::remove_dir_all(&dir);
 

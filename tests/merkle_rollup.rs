@@ -1,21 +1,15 @@
 //! The million-machine roll-up gate: across worker counts {1, 8} and
 //! pipeline depths {1, 4} — with one injected fault and retry in the
-//! fleet — the fold campaign's incremental Merkle root is byte-identical
-//! to the root computed from the retained campaign's full digest vector,
-//! its summary counters match the retained report exactly, and its
-//! resident state stays orders of magnitude below the retained
-//! outcome vector.
-//!
-//! Also pins the divergence locator end-to-end: perturbing one machine's
-//! digest in a retained vector must be *located* (not just detected) by
-//! [`FullDigestTree::first_divergence`], at exactly the perturbed index,
-//! for every index in the fleet.
+//! fleet — the campaign's incremental Merkle root is byte-identical to
+//! the root computed from the fleet's full digest vector, its summary
+//! counters match the sequential reference exactly, and its digest
+//! tree stays orders of magnitude below the digest vector.
 
 use std::sync::OnceLock;
 
 use kshot_cve::{find, patch_for};
 use kshot_fleet::{run_campaign, CampaignReport, CampaignTarget, FleetConfig, PlannedFault};
-use kshot_telemetry::{DigestTree, FullDigestTree};
+use kshot_telemetry::DigestTree;
 
 const MACHINES: usize = 12;
 
@@ -52,110 +46,80 @@ const SWEEP: &[(&str, usize, usize)] = &[
     ("w8-d4", 8, 4),
 ];
 
-fn retained_reference() -> &'static CampaignReport {
+/// The sequential (one worker, depth 1) campaign every other schedule
+/// is compared against.
+fn sequential_reference() -> &'static CampaignReport {
     static REF: OnceLock<CampaignReport> = OnceLock::new();
     REF.get_or_init(|| {
         let (target, bytes) = fixture();
         let report = run_campaign(target, bytes, &base(1, 1));
-        assert_eq!(report.succeeded, MACHINES, "{:?}", report.outcomes);
+        assert_eq!(report.succeeded, MACHINES, "{:?}", report.exemplars());
         assert_eq!(report.retries, 1);
         report
     })
 }
 
-/// Fold root == from_leaves(retained digest vector) root, at every
-/// worker count and depth, with identical summary counters.
+/// Fold root == from_leaves(digest vector) root, at every worker count
+/// and depth, with identical summary counters. The fleet converges to
+/// one applied state, so its digest vector is the reference digest
+/// repeated once per machine.
 #[test]
 fn fold_root_equals_retained_vector_root_across_schedulers() {
     let (target, bytes) = fixture();
-    let reference = retained_reference();
-    let leaves: Vec<[u8; 32]> = reference.outcomes.iter().map(|o| o.state_digest).collect();
+    let reference = sequential_reference();
+    assert!(reference.all_identical_digests());
+    let digest = reference.fold.reference_digest().expect("machine 0 digest");
+    let leaves = vec![digest; MACHINES];
     let vector_root = DigestTree::from_leaves(&leaves).root();
-    assert_eq!(
-        reference.digest_root(),
-        vector_root,
-        "retained report's root is the vector root"
-    );
-    let retained_bytes = leaves.len() * std::mem::size_of::<[u8; 32]>();
+    let vector_bytes = leaves.len() * std::mem::size_of::<[u8; 32]>();
     for &(label, workers, depth) in SWEEP {
-        let folded = run_campaign(target, bytes, &base(workers, depth).with_outcome_fold());
-        assert_eq!(folded.succeeded, MACHINES, "{label}");
-        assert_eq!(folded.retries, reference.retries, "{label}");
-        assert_eq!(folded.faults_injected, reference.faults_injected, "{label}");
-        assert!(folded.outcomes.is_empty(), "{label}: fold retains nothing");
-        let fold = folded.fold.as_ref().expect("fold mode carries the fold");
+        let report = run_campaign(target, bytes, &base(workers, depth));
+        assert_eq!(report.succeeded, MACHINES, "{label}");
+        assert_eq!(report.retries, reference.retries, "{label}");
+        assert_eq!(report.faults_injected, reference.faults_injected, "{label}");
+        let fold = &report.fold;
         assert_eq!(
             fold.merkle_root(),
             vector_root,
             "{label}: fold root diverged from the digest-vector root"
         );
         assert!(
-            folded.all_identical_digests(),
+            report.all_identical_digests(),
             "{label}: uniform fleet reads as uniform through the fold"
         );
+        // Only the retried machine is kept whole.
+        let kept: Vec<usize> = report.exemplars().iter().map(|o| o.machine).collect();
+        assert_eq!(kept, [5], "{label}");
         // The tree alone must stay logarithmic — far below even this
         // small fleet's digest vector (the report-level fold carries
         // fixed-size sketch/counter overhead on top).
         assert!(
-            fold.tree.resident_bytes() < retained_bytes as u64,
-            "{label}: tree frontier ({}) outweighs the digest vector ({retained_bytes})",
+            fold.tree.resident_bytes() < vector_bytes as u64,
+            "{label}: tree frontier ({}) outweighs the digest vector ({vector_bytes})",
             fold.tree.resident_bytes()
         );
     }
 }
 
-/// Perturb machine `k`'s digest for every `k`: the locator must name
-/// exactly `k`, and restoring it must read as identical again.
-#[test]
-fn divergence_locator_names_the_exact_machine() {
-    let reference = retained_reference();
-    let leaves: Vec<[u8; 32]> = reference.outcomes.iter().map(|o| o.state_digest).collect();
-    let baseline = FullDigestTree::from_leaves(&leaves);
-    assert_eq!(baseline.first_divergence(&baseline), None);
-    for k in 0..leaves.len() {
-        let mut perturbed = leaves.clone();
-        perturbed[k][0] ^= 0x5A;
-        let other = FullDigestTree::from_leaves(&perturbed);
-        assert_ne!(baseline.root(), other.root(), "machine {k}");
-        assert_eq!(
-            baseline.first_divergence(&other),
-            Some(k as u64),
-            "locator must name machine {k}"
-        );
-        assert_eq!(
-            other.first_divergence(&baseline),
-            Some(k as u64),
-            "locator is symmetric at machine {k}"
-        );
-    }
-    // Two perturbations: the locator names the *first*.
-    let mut twice = leaves.clone();
-    twice[3][5] ^= 0xFF;
-    twice[9][0] ^= 0x01;
-    assert_eq!(
-        baseline.first_divergence(&FullDigestTree::from_leaves(&twice)),
-        Some(3)
-    );
-}
-
-/// A fold campaign and a retained campaign of the same fleet summarize
-/// identically — the fold loses per-machine records, never totals.
+/// A pipelined multi-worker campaign and the sequential one summarize
+/// identically — scheduling moves wall time, never totals.
 #[test]
 fn fold_and_retained_reports_summarize_identically() {
     let (target, bytes) = fixture();
-    let reference = retained_reference();
-    let folded = run_campaign(target, bytes, &base(2, 4).with_outcome_fold());
-    assert_eq!(folded.succeeded, reference.succeeded);
-    assert_eq!(folded.failed, reference.failed);
-    assert_eq!(folded.retries, reference.retries);
-    assert_eq!(folded.faults_injected, reference.faults_injected);
-    assert_eq!(folded.digest_root(), reference.digest_root());
-    assert_eq!(folded.latency_max, reference.latency_max);
+    let reference = sequential_reference();
+    let report = run_campaign(target, bytes, &base(2, 4));
+    assert_eq!(report.succeeded, reference.succeeded);
+    assert_eq!(report.failed, reference.failed);
+    assert_eq!(report.retries, reference.retries);
+    assert_eq!(report.faults_injected, reference.faults_injected);
+    assert_eq!(report.digest_root(), reference.digest_root());
+    assert_eq!(report.latency_p50, reference.latency_p50);
+    assert_eq!(report.latency_max, reference.latency_max);
     // Simulated throughput derives from the slowest machine's clock,
     // which the fold tracks exactly.
-    assert_eq!(folded.throughput_sim, reference.throughput_sim);
+    assert_eq!(report.throughput_sim, reference.throughput_sim);
     assert_eq!(
-        folded.all_identical_digests(),
+        report.all_identical_digests(),
         reference.all_identical_digests()
     );
 }

@@ -1,17 +1,17 @@
 //! End-to-end gate for the streaming observability pipeline: a
 //! 32-machine campaign streams per-worker JSON-lines shards while it
 //! runs, and re-aggregating those shards from disk must reproduce the
-//! in-memory merged telemetry *exactly* — same counter totals, same
-//! histogram buckets, same per-phase timing samples. Alongside, the SMM
-//! dwell-time watchdog must flag the one machine whose SMM stages were
-//! artificially slowed, and nobody else.
+//! campaign's merged metric totals *exactly* — same counter totals,
+//! same histogram buckets — and carry every per-phase timing sample.
+//! Alongside, the SMM dwell-time watchdog must flag the one machine
+//! whose SMM stages were artificially slowed, and nobody else.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use kshot::fleet::{run_campaign, CampaignTarget, FleetConfig, PlannedSlowdown};
 use kshot::telemetry::json::Value;
-use kshot::telemetry::{PhaseProfile, ShardData, PHASES};
+use kshot::telemetry::{ShardData, PHASES};
 use kshot_cve::{find, patch_for};
 use kshot_machine::SimTime;
 
@@ -71,9 +71,10 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
         });
     let report = run_campaign(&target, &bytes, &config);
     assert_eq!(
-        report.succeeded, MACHINES,
-        "outcomes: {:?}",
-        report.outcomes
+        report.succeeded,
+        MACHINES,
+        "exemplars: {:?}",
+        report.exemplars()
     );
     // Slowness changes timing only, never the applied bytes.
     assert!(report.all_identical_digests());
@@ -86,10 +87,10 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
         .assert_metrics_match(&report.recorder.metrics_snapshot())
         .expect("streamed metric totals equal the in-memory merge");
 
-    // Phases: identical sample sets (order-independent), and every
-    // pipeline phase observed at least once per machine.
-    let in_memory: PhaseProfile = report.phase_profile();
-    assert_eq!(merged.phases, in_memory, "phase profiles diverged");
+    // Phases: the profile lives in the shards (the campaign recorder
+    // keeps metric totals only), with every pipeline phase observed at
+    // least once per machine.
+    assert!(report.recorder.records().is_empty());
     for phase in PHASES {
         let stats = merged
             .phases
@@ -115,16 +116,26 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
     let expected: Vec<u64> = (0..MACHINES as u64).collect();
     assert_eq!(machines_seen, expected);
 
-    // Watchdog: exactly the slowed machine is flagged — in the report,
-    // in the per-machine outcomes, and in the streamed outcome lines.
-    assert_eq!(report.dwell_anomalies, vec![SLOW_MACHINE]);
-    for o in &report.outcomes {
-        if o.machine == SLOW_MACHINE {
-            assert!(o.smm_overbudget > 0, "slowed machine not flagged");
-            assert!(o.max_smm_dwell > DWELL_BUDGET);
-        } else {
-            assert_eq!(o.smm_overbudget, 0, "machine {} misflagged", o.machine);
-            assert!(o.max_smm_dwell <= DWELL_BUDGET);
+    // Watchdog: exactly the slowed machine is flagged — in the fold's
+    // anomaly list, as the fold's only exemplar, and in the streamed
+    // outcome lines.
+    assert_eq!(report.fold.dwell_anomalies, vec![SLOW_MACHINE]);
+    let kept: Vec<usize> = report.exemplars().iter().map(|o| o.machine).collect();
+    assert_eq!(kept, [SLOW_MACHINE], "only the slowed machine is kept");
+    let slow = report.exemplar(SLOW_MACHINE).expect("slowed exemplar");
+    assert!(slow.smm_overbudget > 0, "slowed machine not flagged");
+    assert!(slow.max_smm_dwell > DWELL_BUDGET);
+    for m in merged.other_of_type("machine") {
+        let machine = m
+            .get("machine")
+            .and_then(Value::as_u64)
+            .expect("machine id");
+        if machine != SLOW_MACHINE as u64 {
+            let dwell = m.get("max_smm_dwell_ns").and_then(Value::as_u64);
+            assert!(
+                dwell <= Some(DWELL_BUDGET.as_ns()),
+                "machine {machine} dwelled {dwell:?}"
+            );
         }
     }
     let flagged: Vec<u64> = merged
@@ -143,28 +154,24 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
 }
 
 #[test]
-fn summaries_only_campaign_keeps_totals_and_streams_the_records() {
+fn streamed_campaign_keeps_metric_totals_and_streams_the_records() {
     let (target, bytes) = fixture();
-    let dir = scratch_dir("summaries");
-    let config = FleetConfig::new(8, 2)
-        .with_seed(9)
-        .with_stream_dir(&dir)
-        .summaries_only();
+    let dir = scratch_dir("totals");
+    let config = FleetConfig::new(8, 2).with_seed(9).with_stream_dir(&dir);
     let report = run_campaign(&target, &bytes, &config);
     assert_eq!(report.succeeded, 8);
 
-    // The merged recorder dropped the record stream (memory-bounded
-    // mode) but kept metric totals...
+    // The campaign recorder keeps metric totals, never the record
+    // stream...
     assert!(report.recorder.records().is_empty());
-    assert!(report.phase_profile().is_empty());
     assert!(!report.recorder.metrics_snapshot().counters.is_empty());
 
-    // ...and the full stream still exists on disk: the shards carry the
-    // same metric totals plus all the span samples the report dropped.
+    // ...and the full stream exists on disk: the shards carry the same
+    // metric totals plus all the span samples the recorder never kept.
     let merged = parse_shards(&dir, 2);
     merged
         .assert_metrics_match(&report.recorder.metrics_snapshot())
-        .expect("summaries-only totals equal the shard totals");
+        .expect("campaign totals equal the shard totals");
     assert!(merged.phases.total_samples() > 0);
     assert!(merged.spans > 0);
 

@@ -68,13 +68,13 @@ const SWEEP: &[(&str, usize, usize)] = &[
 fn trail_fingerprint(report: &CampaignReport) -> String {
     let rollout = report.rollout.as_ref().expect("rollout report");
     let rolled_back: Vec<usize> = report
-        .outcomes
+        .exemplars()
         .iter()
         .filter(|o| o.rolled_back)
         .map(|o| o.machine)
         .collect();
     let skipped: Vec<usize> = report
-        .outcomes
+        .exemplars()
         .iter()
         .filter(|o| !o.admitted)
         .map(|o| o.machine)
@@ -103,12 +103,17 @@ fn healthy_ramp_admits_every_wave_and_is_scheduler_invariant() {
             .with_rollout(plan());
         let report = run_campaign(target, bytes, &config);
 
-        assert_eq!(report.succeeded, MACHINES, "{label}: {:?}", report.outcomes);
+        assert_eq!(
+            report.succeeded,
+            MACHINES,
+            "{label}: {:?}",
+            report.exemplars()
+        );
         assert_eq!(report.failed, 0, "{label}");
         assert!(report.all_identical_digests(), "{label}");
         assert!(
-            report.outcomes.iter().all(|o| o.admitted && !o.rolled_back),
-            "{label}"
+            report.exemplars().is_empty(),
+            "{label}: every machine admitted, patched first try, kept"
         );
 
         let rollout = report.rollout.as_ref().expect("rollout report");
@@ -213,25 +218,27 @@ fn halt_verdict_stops_admission_and_rolls_back_the_wave() {
             "{label}: wave [6,12) never started"
         );
 
-        // The canary keeps its patch; the halted wave's patched
-        // machines reverted; its faulted machines failed on their own.
-        let o = &report.outcomes;
-        for canary in [0, 1] {
-            assert!(o[canary].ok && !o[canary].rolled_back, "{label}");
-        }
+        // The canary keeps its patch (clean, so not kept); the halted
+        // wave's patched machines reverted; its faulted machines failed
+        // on their own; the last wave never started. Exactly those
+        // eleven machines are the exemplars.
+        let kept: Vec<usize> = report.exemplars().iter().map(|o| o.machine).collect();
+        assert_eq!(kept, (2..MACHINES).collect::<Vec<_>>(), "{label}");
+        let o = |machine: usize| report.exemplar(machine).expect("exemplar");
         for survivor in [2, 5] {
-            assert!(o[survivor].ok && o[survivor].rolled_back, "{label}");
-            assert_eq!(o[survivor].attempts, 1, "{label}");
+            assert!(o(survivor).ok && o(survivor).rolled_back, "{label}");
+            assert_eq!(o(survivor).attempts, 1, "{label}");
         }
         for faulted in [3, 4] {
-            assert!(!o[faulted].ok && o[faulted].admitted, "{label}");
+            assert!(!o(faulted).ok && o(faulted).admitted, "{label}");
             assert!(
-                !o[faulted].rolled_back,
+                !o(faulted).rolled_back,
                 "{label}: nothing applied to revert"
             );
-            assert_eq!(o[faulted].faults_injected, 1, "{label}");
+            assert_eq!(o(faulted).faults_injected, 1, "{label}");
         }
-        for skipped in &o[6..MACHINES] {
+        for skipped in 6..MACHINES {
+            let skipped = o(skipped);
             assert!(!skipped.ok && !skipped.admitted, "{label}");
             assert_eq!(skipped.attempts, 0, "{label}: never booted");
             assert_eq!(skipped.state_digest, [0u8; 32], "{label}");
@@ -243,18 +250,26 @@ fn halt_verdict_stops_admission_and_rolls_back_the_wave() {
         }
         assert_eq!(report.succeeded, 4, "{label}");
         assert_eq!(report.failed, 8, "{label}");
+        // The gate admits one wave at a time, so the fold's reorder
+        // buffer never holds more than the halted wave [2,6).
+        assert!(
+            report.fold.reorder_high_water <= 4,
+            "{label}: reorder buffer held {}",
+            report.fold.reorder_high_water
+        );
 
         // The rollback property the paper's journal machinery exists
         // for: a rolled-back machine is byte-identical to one that never
         // applied the patch, and distinct from a patched one.
-        let patched = o[0].state_digest;
-        let never_patched = o[3].state_digest;
+        let patched = report.fold.reference_digest().expect("canary digest");
+        let never_patched = o(3).state_digest;
         assert_ne!(patched, never_patched, "{label}");
         assert_ne!(never_patched, [0u8; 32], "{label}");
-        assert_eq!(o[4].state_digest, never_patched, "{label}");
+        assert_eq!(o(4).state_digest, never_patched, "{label}");
         for survivor in [2, 5] {
             assert_eq!(
-                o[survivor].state_digest, never_patched,
+                o(survivor).state_digest,
+                never_patched,
                 "{label}: rollback must restore the pre-patch state"
             );
         }
@@ -328,11 +343,11 @@ fn canary_calibrated_dwell_budget_pauses_a_slow_ramp_wave() {
     assert_eq!(rollout.rolled_back, 0, "degraded pauses, never reverts");
     assert_eq!(rollout.not_admitted, 6);
 
-    // The degraded wave keeps its patches — including the slow machine.
-    for machine in 0..6 {
-        let o = &report.outcomes[machine];
-        assert!(o.ok && o.admitted && !o.rolled_back, "{o:?}");
-    }
+    // The degraded wave keeps its patches — including the slow machine:
+    // the only exemplars are the never-admitted last wave.
+    let kept: Vec<usize> = report.exemplars().iter().map(|o| o.machine).collect();
+    assert_eq!(kept, (6..MACHINES).collect::<Vec<_>>());
+    assert!(report.exemplars().iter().all(|o| !o.admitted));
     assert_eq!(report.succeeded, 6);
     assert_eq!(report.failed, 6);
     let _ = std::fs::remove_dir_all(&dir);
