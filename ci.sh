@@ -32,6 +32,12 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+# Crypto gate: Montgomery fixed-window modpow against a square-and-
+# multiply oracle over odd moduli of 1-32 limbs (edge bases and
+# exponents, both DH primes), alongside the bignum and cipher laws.
+echo "== modpow differential test =="
+run_named -p kshot-crypto --test prop_crypto
+
 # Crash-consistency gates (also part of `cargo test -q`, but named here
 # so a failure reads as what it is): the exhaustive patch/rollback fault
 # sweep, and the deterministic fuzz of Channel::open frame orderings

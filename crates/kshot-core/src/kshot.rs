@@ -171,7 +171,7 @@ pub struct KShot {
     helper: Helper,
     smm: SmmHandler,
     reserved: ReservedLayout,
-    params: DhParams,
+    params: &'static DhParams,
     algorithm: VerificationAlgorithm,
     rng: StdRng,
     history: Vec<PatchReport>,
@@ -230,17 +230,13 @@ impl KShot {
                 let _ = machine.rsm();
             })?;
         machine.rsm()?;
-        let params = match group {
-            DhGroup::Default => DhParams::default_group(),
-            DhGroup::Modp2048 => DhParams::modp_2048(),
-        };
         Ok(KShot {
             kernel,
             platform,
             helper,
             smm,
             reserved,
-            params,
+            params: group.params(),
             algorithm,
             rng,
             history: Vec::new(),
@@ -325,7 +321,7 @@ impl KShot {
         let session_span = kshot_telemetry::span("sgx.session");
         let e_entropy: [u8; 32] = self.rng.gen();
         let s_entropy: [u8; 32] = self.rng.gen();
-        let enclave_pub = self.helper.begin_server_session(&self.params, &e_entropy)?;
+        let enclave_pub = self.helper.begin_server_session(self.params, &e_entropy)?;
         // Server side: verify the enclave before answering (MITM gate).
         // `phase.*` spans feed the phase-breakdown profiler
         // (`kshot_telemetry::PhaseProfile`); attestation runs on
@@ -343,14 +339,14 @@ impl KShot {
             return Err(KShotError::AttestationFailed);
         }
         attest_phase.end();
-        let server_kp = DhKeyPair::from_entropy(&self.params, &s_entropy)
+        let server_kp = DhKeyPair::from_entropy(self.params, &s_entropy)
             .map_err(|e| KShotError::Sgx(SgxError::BadSmmPublic(e)))?;
         let server_key = server_kp
-            .agree(&self.params, &enclave_pub)
+            .agree(self.params, &enclave_pub)
             .map_err(|e| KShotError::Sgx(SgxError::BadSmmPublic(e)))?;
         let mut server_channel = SecureChannel::new(server_key);
         self.helper
-            .finish_server_session(&self.params, server_kp.public())?;
+            .finish_server_session(self.params, server_kp.public())?;
         session_span.end();
         // 3. Server seals the bundle; enclave fetches it.
         let encoded = bundle
@@ -364,7 +360,7 @@ impl KShot {
         let stage = self.helper.prepare_and_stage(
             machine,
             &self.reserved,
-            &self.params,
+            self.params,
             self.algorithm,
             &smm_entropy,
         )?;

@@ -44,6 +44,7 @@
 //! both operations and asserts the all-or-nothing invariant.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use kshot_crypto::dh::{DhKeyPair, DhParams};
 use kshot_machine::flight::{fnv1a, JournalOp};
@@ -573,8 +574,8 @@ pub struct SmmHandler {
     params_id: DhGroup,
 }
 
-/// Which DH group the handler uses (a small tag; the group itself is
-/// reconstructed on demand).
+/// Which DH group the handler uses (a small tag, so the handler stays
+/// `Copy`; the group itself is built once per process).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DhGroup {
     /// The fast 512-bit default group.
@@ -584,10 +585,13 @@ pub enum DhGroup {
 }
 
 impl DhGroup {
-    fn params(self) -> DhParams {
+    /// The group's parameters, built on first use and shared thereafter.
+    pub(crate) fn params(self) -> &'static DhParams {
+        static DEFAULT: OnceLock<DhParams> = OnceLock::new();
+        static MODP_2048: OnceLock<DhParams> = OnceLock::new();
         match self {
-            DhGroup::Default => DhParams::default_group(),
-            DhGroup::Modp2048 => DhParams::modp_2048(),
+            DhGroup::Default => DEFAULT.get_or_init(DhParams::default_group),
+            DhGroup::Modp2048 => MODP_2048.get_or_init(DhParams::modp_2048),
         }
     }
 }
@@ -892,7 +896,7 @@ impl SmmHandler {
     fn current_keypair(&self, machine: &mut Machine) -> Result<DhKeyPair, SmmError> {
         let mut seed = [0u8; 32];
         machine.read_bytes(AccessCtx::Smm, self.scratch + OFF_DH_SEED, &mut seed)?;
-        DhKeyPair::from_entropy(&self.params_id.params(), &seed)
+        DhKeyPair::from_entropy(self.params_id.params(), &seed)
             .map_err(|e| SmmError::Channel(ChannelError::Dh(e)))
     }
 
@@ -978,7 +982,7 @@ impl SmmHandler {
         let kp = self.current_keypair(machine)?;
         let helper_pub = read_public(machine, reserved.rw_base + rw_offsets::HELPER_PUB)?;
         let key = kp
-            .agree(&self.params_id.params(), &helper_pub)
+            .agree(self.params_id.params(), &helper_pub)
             .map_err(|e| SmmError::Channel(ChannelError::Dh(e)))?;
         let keygen_cost = machine.cost().smm_keygen;
         machine.charge(keygen_cost);

@@ -2,9 +2,15 @@
 //!
 //! Just enough big-integer arithmetic to support finite-field
 //! Diffie–Hellman: comparison, addition, subtraction, schoolbook
-//! multiplication, Knuth Algorithm D division, and square-and-multiply
-//! modular exponentiation. Limbs are 64-bit, little-endian, and always
+//! multiplication, Knuth Algorithm D division, and modular
+//! exponentiation. Limbs are 64-bit, little-endian, and always
 //! normalized (no high zero limbs; zero is the empty limb vector).
+//!
+//! Odd moduli of up to 32 limbs (2048 bits) — every DH group — are
+//! exponentiated with Montgomery (CIOS) multiplication on fixed-size
+//! stack limb arrays and a 4-bit fixed window, so the exponent loop never
+//! touches the heap. Other moduli fall back to binary square-and-multiply
+//! over [`BigUint::mul`] and [`BigUint::rem`].
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -354,7 +360,10 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// Modular exponentiation `self^exp mod m` by square-and-multiply.
+    /// Modular exponentiation `self^exp mod m`.
+    ///
+    /// Odd moduli of up to 32 limbs go through the Montgomery
+    /// fixed-window kernel; the rest use binary square-and-multiply. Both give the same value for every input.
     ///
     /// # Panics
     ///
@@ -364,6 +373,25 @@ impl BigUint {
         if m.cmp_to(&BigUint::one()) == Ordering::Equal {
             return BigUint::zero();
         }
+        if exp.is_zero() {
+            return BigUint::one();
+        }
+        if m.is_even() {
+            return self.modpow_binary(exp, m);
+        }
+        match m.limbs.len() {
+            1..=4 => self.modpow_mont::<4>(exp, m),
+            5..=8 => self.modpow_mont::<8>(exp, m),
+            9..=16 => self.modpow_mont::<16>(exp, m),
+            17..=MONT_MAX_LIMBS => self.modpow_mont::<MONT_MAX_LIMBS>(exp, m),
+            _ => self.modpow_binary(exp, m),
+        }
+    }
+
+    /// Right-to-left binary square-and-multiply, one `mul` + `rem` per
+    /// step. Used for even moduli, which Montgomery reduction cannot
+    /// handle, and for moduli wider than `MONT_MAX_LIMBS`.
+    fn modpow_binary(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         let mut result = BigUint::one();
         let mut base = self.rem(m);
         for i in 0..exp.bit_len() {
@@ -376,6 +404,147 @@ impl BigUint {
         }
         result
     }
+
+    /// Left-to-right 4-bit fixed-window exponentiation in the Montgomery
+    /// domain `R = 2^(64·N)`, for an odd `m` of at most `N` limbs and a
+    /// nonzero `exp`. `n0'` and `R² mod m` cost one inversion and one
+    /// `shl` + `rem` per call; the power table and accumulator live on
+    /// the stack.
+    fn modpow_mont<const N: usize>(&self, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mm = Mont::<N>::new(m);
+        let base = mm.to_mont(&self.rem(m).limbs);
+        // powers[d − 1] = base^d in Montgomery form. Zero digits are
+        // skipped and the top digit is nonzero, so base^0 is never read.
+        let mut powers = [base; (1 << WINDOW) - 1];
+        for d in 1..powers.len() {
+            powers[d] = mm.mul(&powers[d - 1], &base);
+        }
+        let windows = exp.bit_len().div_ceil(WINDOW);
+        let mut acc = powers[exp.window(windows - 1) - 1];
+        for w in (0..windows - 1).rev() {
+            for _ in 0..WINDOW {
+                acc = mm.mul(&acc, &acc);
+            }
+            let digit = exp.window(w);
+            if digit != 0 {
+                acc = mm.mul(&acc, &powers[digit - 1]);
+            }
+        }
+        let mut one = [0u64; N];
+        one[0] = 1;
+        let mut out = BigUint {
+            limbs: mm.mul(&acc, &one).to_vec(),
+        };
+        out.normalize();
+        out
+    }
+
+    /// The `WINDOW`-bit digit `w` of `self` (bits `w·WINDOW ..
+    /// (w+1)·WINDOW`). `WINDOW` divides 64, so a digit never straddles
+    /// two limbs.
+    fn window(&self, w: usize) -> usize {
+        let bit = w * WINDOW;
+        let limb = self.limbs.get(bit / 64).copied().unwrap_or(0);
+        ((limb >> (bit % 64)) & ((1 << WINDOW) - 1)) as usize
+    }
+}
+
+/// Widest modulus, in limbs, that [`BigUint::modpow`] exponentiates in
+/// the Montgomery domain (RFC 3526 MODP-2048 is exactly this wide).
+const MONT_MAX_LIMBS: usize = 32;
+
+/// Exponent bits consumed per table lookup in the Montgomery kernel.
+const WINDOW: usize = 4;
+
+/// Montgomery arithmetic modulo an odd `m`, zero-padded to `N` limbs,
+/// with `R = 2^(64·N)`.
+struct Mont<const N: usize> {
+    m: [u64; N],
+    /// `−m⁻¹ mod 2^64`.
+    n0: u64,
+    /// `R² mod m`, for converting into Montgomery form.
+    r2: [u64; N],
+}
+
+impl<const N: usize> Mont<N> {
+    fn new(m: &BigUint) -> Self {
+        debug_assert!(!m.is_even() && m.limbs.len() <= N);
+        let m_limbs = pad::<N>(&m.limbs);
+        // Newton's iteration doubles the correct low bits of m⁻¹ each
+        // step; an odd m is its own inverse mod 8, so five steps reach 96.
+        let mut inv = m_limbs[0];
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m_limbs[0].wrapping_mul(inv)));
+        }
+        Mont {
+            m: m_limbs,
+            n0: inv.wrapping_neg(),
+            r2: pad::<N>(&BigUint::one().shl(128 * N).rem(m).limbs),
+        }
+    }
+
+    /// `a` (at most `N` limbs, below `m`) in Montgomery form.
+    fn to_mont(&self, a: &[u64]) -> [u64; N] {
+        self.mul(&pad::<N>(a), &self.r2)
+    }
+
+    /// Montgomery product `a·b·R⁻¹ mod m` (CIOS), for `a, b < m`.
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        // t holds N+2 limbs: t[..N], then `hi` and the transient `top`.
+        let mut t = [0u64; N];
+        let mut hi = 0u64;
+        for &ai in a {
+            let mut c = 0u64;
+            for (tj, &bj) in t.iter_mut().zip(b) {
+                (*tj, c) = mac(*tj, ai, bj, c);
+            }
+            let (s, top) = hi.overflowing_add(c);
+            hi = s;
+            let u = t[0].wrapping_mul(self.n0);
+            let (_, mut c) = mac(t[0], u, self.m[0], 0);
+            for j in 1..N {
+                (t[j - 1], c) = mac(t[j], u, self.m[j], c);
+            }
+            let (s, carry) = hi.overflowing_add(c);
+            t[N - 1] = s;
+            hi = top as u64 + carry as u64;
+        }
+        // t < 2m: subtract m once if t ≥ m.
+        if hi != 0 || !lt(&t, &self.m) {
+            let mut borrow = false;
+            for (tj, &mj) in t.iter_mut().zip(&self.m) {
+                let (d, b1) = tj.overflowing_sub(mj);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *tj = d;
+                borrow = b1 || b2;
+            }
+        }
+        t
+    }
+}
+
+/// `t + a·b + c` as (low, high) limbs; cannot overflow 128 bits.
+#[inline(always)]
+fn mac(t: u64, a: u64, b: u64, c: u64) -> (u64, u64) {
+    let r = t as u128 + a as u128 * b as u128 + c as u128;
+    (r as u64, (r >> 64) as u64)
+}
+
+/// `a < b` over equal-width little-endian limb arrays.
+fn lt<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    for j in (0..N).rev() {
+        if a[j] != b[j] {
+            return a[j] < b[j];
+        }
+    }
+    false
+}
+
+/// Zero-extend normalized limbs to `N`.
+fn pad<const N: usize>(limbs: &[u64]) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..limbs.len()].copy_from_slice(limbs);
+    out
 }
 
 impl fmt::Debug for BigUint {

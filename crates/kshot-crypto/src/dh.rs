@@ -284,6 +284,46 @@ mod tests {
         assert_eq!(params.prime().bit_len(), 2048);
     }
 
+    /// Known-answer values for fixed entropy, pinned so that no bignum
+    /// change can silently move the key schedule: alice's public value
+    /// and the session key both sides derive.
+    #[test]
+    fn known_answer_public_and_session_key() {
+        let cases = [
+            (
+                DhParams::default_group(),
+                concat!(
+                    "74de8f2a83870a8d110cd3822499938b2044657304518a1cf85cd76afcdc583c",
+                    "07c0c6e446c63d7c0a27bd75ca21a041be145d178a24e0ee7686ff39f8287437",
+                ),
+                "662e409d2ef1e3416196fc71ed77a3d248753ae5c36a0f8488444fbbdf71d5b0",
+            ),
+            (
+                DhParams::modp_2048(),
+                concat!(
+                    "a7fca5d6b2c37859e41ee514885cb0f2964a3481e5d730e86d982dbb9a6ef00d",
+                    "0d7e59bd3494182dcb0fb95416923972f325416b3ff5e4ecb080e9e3c9104d53",
+                    "8cdf9d1bc2894c1529cc6fae01444acb3bbdaa169fc398287f04aa11bf6fd88f",
+                    "7d659867b873ce8a5123e37629f345929f71cdb1d77724c488741d5421deb700",
+                    "6d2cc7dca545840097c66885d29bf756784cb86b3fba337dd641c3ffafdb497c",
+                    "5a583169d751beeb0fae437502ca622536e815809353d2b49b4cfaf1d394870d",
+                    "653bb8582d3c738346861960afc0ad2971b1b606b54443bf3b8293cf24619712",
+                    "a29843b93a49b33fb671e4d63ee72337fea1982eff348527dfcd00a66d218328",
+                ),
+                "67b0f2e7834ab10cdbcc69f0f9712e3e34eb70703dfd9cc94635325a0f9fa05d",
+            ),
+        ];
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        for (params, want_public, want_key) in cases {
+            let alice = DhKeyPair::from_entropy(&params, &entropy(1)).unwrap();
+            let bob = DhKeyPair::from_entropy(&params, &entropy(2)).unwrap();
+            assert_eq!(hex(&alice.public().to_bytes_be()), want_public);
+            let key = alice.agree(&params, bob.public()).unwrap();
+            assert_eq!(hex(key.as_bytes()), want_key);
+            assert_eq!(bob.agree(&params, alice.public()).unwrap(), key);
+        }
+    }
+
     #[test]
     fn debug_never_leaks_key() {
         let k = SessionKey([0xAA; 32]);

@@ -1,5 +1,6 @@
 //! Property tests over the crypto substrate: bignum laws, cipher
-//! round-trips, DH agreement, and hash consistency.
+//! round-trips, DH agreement, and hash consistency, plus a differential
+//! test of `modpow` against a square-and-multiply oracle.
 
 use kshot_crypto::bignum::BigUint;
 use kshot_crypto::chacha::ChaCha20;
@@ -10,6 +11,110 @@ use proptest::prelude::*;
 
 fn arb_biguint() -> impl Strategy<Value = BigUint> {
     prop::collection::vec(any::<u8>(), 0..40).prop_map(|b| BigUint::from_bytes_be(&b))
+}
+
+fn from_limbs(limbs: &[u64]) -> BigUint {
+    let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
+    BigUint::from_bytes_be(&bytes)
+}
+
+/// Reference `base^exp mod m`: right-to-left square-and-multiply built
+/// only from the public `mul` and `rem`.
+fn modpow_oracle(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let mut result = BigUint::one().rem(m);
+    let mut b = base.rem(m);
+    for i in 0..exp.bit_len() {
+        if exp.bit(i) {
+            result = result.mul(&b).rem(m);
+        }
+        b = b.mul(&b).rem(m);
+    }
+    result
+}
+
+/// An odd modulus of 1–32 limbs; `shape` 1 sets every top-limb bit, 2
+/// makes the top limb 1 (the shortest value of that width).
+fn odd_modulus(mut limbs: Vec<u64>, shape: u8) -> BigUint {
+    let top = limbs.len() - 1;
+    match shape {
+        1 => limbs[top] = u64::MAX,
+        2 => limbs[top] = 1,
+        _ => limbs[top] |= 1,
+    }
+    limbs[0] |= 1;
+    from_limbs(&limbs)
+}
+
+/// An exponent of exactly `bits` significant bits (0 gives zero, 1 gives
+/// one).
+fn exponent(limbs: &[u64], bits: usize) -> BigUint {
+    if bits == 0 {
+        return BigUint::zero();
+    }
+    let mut e = from_limbs(limbs).rem(&BigUint::one().shl(bits - 1));
+    e = e.add(&BigUint::one().shl(bits - 1));
+    assert_eq!(e.bit_len(), bits);
+    e
+}
+
+/// A base relative to `m`: 0, `m − 1`, at or above `m`, or below `m`.
+fn base_for(m: &BigUint, limbs: &[u64], kind: u8) -> BigUint {
+    let r = from_limbs(limbs);
+    match kind {
+        0 => BigUint::zero(),
+        1 => m.checked_sub(&BigUint::one()).unwrap(),
+        2 => m.add(&r),
+        _ => r.rem(m),
+    }
+}
+
+#[test]
+fn modpow_matches_oracle_on_edge_moduli_and_dh_primes() {
+    let m3 = BigUint::from_u64(3);
+    let all_ones_1 = BigUint::from_u64(u64::MAX);
+    let all_ones_32 = BigUint::one()
+        .shl(64 * 32)
+        .checked_sub(&BigUint::one())
+        .unwrap();
+    let moduli = [
+        m3,
+        all_ones_1,
+        all_ones_32,
+        DhParams::default_group().prime().clone(),
+        DhParams::modp_2048().prime().clone(),
+    ];
+    let big = from_limbs(&[0x0123_4567_89ab_cdef; 40]);
+    for m in &moduli {
+        let pm1 = m.checked_sub(&BigUint::one()).unwrap();
+        let bases = [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from_u64(2),
+            pm1.clone(),
+            m.clone(),
+            m.add(&BigUint::one()),
+            big.clone(),
+        ];
+        let exps = [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from_u64(2),
+            BigUint::from_u64(15),
+            BigUint::from_u64(16),
+            BigUint::from_u64(0x1_0001),
+            exponent(&[u64::MAX; 4], 255),
+            pm1.clone(),
+        ];
+        for b in &bases {
+            for e in &exps {
+                assert_eq!(
+                    b.modpow(e, m),
+                    modpow_oracle(b, e, m),
+                    "{b:?}^{e:?} mod {m:?}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -97,5 +202,20 @@ proptest! {
         let k1 = a.agree(&params, b.public()).unwrap();
         let k2 = b.agree(&params, a.public()).unwrap();
         prop_assert_eq!(k1.as_bytes(), k2.as_bytes());
+    }
+
+    #[test]
+    fn modpow_matches_oracle_on_odd_moduli(
+        m_limbs in prop::collection::vec(any::<u64>(), 1..=32),
+        shape in 0u8..3,
+        e_limbs in prop::collection::vec(any::<u64>(), 5),
+        e_bits in 0usize..300,
+        b_limbs in prop::collection::vec(any::<u64>(), 0..40),
+        b_kind in 0u8..4,
+    ) {
+        let m = odd_modulus(m_limbs, shape);
+        let e = exponent(&e_limbs, e_bits);
+        let b = base_for(&m, &b_limbs, b_kind);
+        prop_assert_eq!(b.modpow(&e, &m), modpow_oracle(&b, &e, &m));
     }
 }
