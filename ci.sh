@@ -38,6 +38,13 @@ cargo test -q
 echo "== modpow differential test =="
 run_named -p kshot-crypto --test prop_crypto
 
+# Memory gate: sparse extent-backed physical memory against a flat
+# Vec<u8> oracle (random write/read/slice sequences around and across
+# extent edges, snapshot/restore), alongside the page-attribute, SMRAM
+# and SMI/RSM properties.
+echo "== sparse memory differential test =="
+run_named -p kshot-machine --test prop_machine
+
 # Crash-consistency gates (also part of `cargo test -q`, but named here
 # so a failure reads as what it is): the exhaustive patch/rollback fault
 # sweep, and the deterministic fuzz of Channel::open frame orderings

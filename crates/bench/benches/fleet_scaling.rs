@@ -70,9 +70,9 @@ fn fleet_scaling(c: &mut Criterion) {
     group.finish();
 
     // A compute-bound fleet (no link RTT): the unstreamed fold path
-    // skips the per-machine recorder scope and record stream, recycles
-    // boot images through the per-worker arena, and keeps O(log n)
-    // fold state instead of an outcome vector.
+    // skips the per-machine recorder scope and record stream, boots
+    // every machine from the shared image into sparse memory, and keeps
+    // O(log n) fold state instead of an outcome vector.
     let mut group = c.benchmark_group("fleet_fold");
     group.sample_size(10);
     let config = FleetConfig::new(128, 1).with_seed(0xF01D);

@@ -254,9 +254,7 @@ impl KShot {
     }
 
     /// Tear the system down, releasing the kernel (and with it the
-    /// machine and its pristine boot image) to the caller. Used by
-    /// fleet session arenas to recycle boot-image allocations across
-    /// the machines a worker drives.
+    /// machine and its pristine boot image) to the caller.
     pub fn into_kernel(self) -> Kernel {
         self.kernel
     }

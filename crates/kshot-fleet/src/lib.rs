@@ -49,8 +49,13 @@
 //!   roll-up whose root stands in for the digest vector. Clean outcomes
 //!   are dropped once absorbed, so resident state is O(log machines),
 //!   and the [`CampaignReport`] is assembled from the fold alone.
-//!   Per-worker session arenas recycle the booted kernel image across a
-//!   worker's machines.
+//! * **Cheap machines.** Every machine boots from the campaign's one
+//!   `Arc<KernelImage>` (no per-machine image copy) into sparse
+//!   physical memory that backs only the pages the machine writes: the
+//!   loaded kernel, trampolines, placed bodies, key material and the
+//!   SMRAM journal. A booted 26 MB [`kshot_machine::MemLayout::fleet`]
+//!   machine holds well under a megabyte, so boot costs microseconds
+//!   and a worker's live pipeline fits in cache.
 //! * **Streaming observability.** With [`FleetConfig::with_stream_dir`]
 //!   each worker streams its machines' telemetry to a per-worker
 //!   `worker-<N>.jsonl` shard as it happens, and the campaign closes

@@ -1,6 +1,7 @@
 //! Booting a kernel image onto the simulated machine.
 
 use std::fmt;
+use std::sync::Arc;
 
 use kshot_kcc::codegen::CodegenOptions;
 use kshot_kcc::image::KernelImage;
@@ -82,8 +83,9 @@ impl From<MachineError> for BootError {
     }
 }
 
-/// The running kernel: a machine, the boot-time image it was loaded from,
-/// the runtime tracer, and the task table.
+/// The running kernel: a machine, the boot-time image it was loaded from
+/// (shared: a fleet boots every machine from one `Arc`), the runtime
+/// tracer, and the task table.
 ///
 /// # Examples
 ///
@@ -105,7 +107,7 @@ impl From<MachineError> for BootError {
 #[derive(Debug)]
 pub struct Kernel {
     pub(crate) machine: Machine,
-    pub(crate) image: KernelImage,
+    pub(crate) image: Arc<KernelImage>,
     pub(crate) tracer: TraceState,
     pub(crate) tasks: Vec<Task>,
     pub(crate) current_task: Option<u64>,
@@ -122,16 +124,19 @@ impl Kernel {
     /// Performs what the boot loader and early kernel do in the paper's
     /// prototype: copy segments into place, apply page attributes (text
     /// `r-x`, data/stack `rw-`), and leave the boot-reserved KShot region
-    /// untouched for `kshot-core` to claim.
+    /// untouched for `kshot-core` to claim. The image is only read: pass
+    /// an `Arc` clone to boot many machines from one image without
+    /// copying it, or a [`KernelImage`] to give it to this kernel.
     ///
     /// # Errors
     ///
     /// Returns a [`BootError`] if the image does not fit the layout.
     pub fn boot(
-        image: KernelImage,
+        image: impl Into<Arc<KernelImage>>,
         version: impl Into<String>,
         layout: MemLayout,
     ) -> Result<Kernel, BootError> {
+        let image = image.into();
         let mut machine = Machine::new(layout)?;
         if image.text_base != layout.kernel_text_base {
             return Err(BootError::BaseMismatch {
@@ -221,11 +226,10 @@ impl Kernel {
     /// Tear the kernel down and reclaim its pristine boot image. The
     /// image is never mutated after [`boot`](Self::boot) (live patching
     /// writes machine memory only), so the returned value is
-    /// bit-identical to what was booted — fleet workers recycle it into
-    /// the next machine's boot instead of cloning the shared image
-    /// again.
+    /// bit-identical to what was booted. It is moved out when this
+    /// kernel held the only reference, and cloned otherwise.
     pub fn into_image(self) -> KernelImage {
-        self.image
+        Arc::unwrap_or_clone(self.image)
     }
 
     /// The execution-trace ring (post-mortem debugging aid).

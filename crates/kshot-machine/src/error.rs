@@ -37,6 +37,23 @@ pub enum MachineError {
     AlreadyInSmm,
     /// SMRAM has not been configured yet.
     SmramUnconfigured,
+    /// The memory layout is inconsistent (overlapping, out-of-bounds or
+    /// unaligned regions); the machine was not built.
+    InvalidLayout {
+        /// The first problem [`crate::MemLayout::validate`] found.
+        reason: String,
+    },
+    /// A borrowed view of `addr..addr+len` was asked for, but no single
+    /// backing buffer holds the range: it straddles written and
+    /// never-written memory, or is a never-written range longer than
+    /// [`crate::phys::ZERO_SLICE_MAX`] (see [`crate::PhysMemory::slice`]).
+    /// Copying reads of the same range succeed.
+    Unbacked {
+        /// Start of the range.
+        addr: u64,
+        /// Length of the range.
+        len: usize,
+    },
     /// A deterministic fault-injection plan fired on this write (see
     /// `kshot_machine::inject`). The write did not happen.
     InjectedFault {
@@ -74,6 +91,11 @@ impl fmt::Display for MachineError {
             MachineError::NotInSmm => write!(f, "RSM outside of System Management Mode"),
             MachineError::AlreadyInSmm => write!(f, "SMI raised while already in SMM"),
             MachineError::SmramUnconfigured => write!(f, "SMRAM has not been configured"),
+            MachineError::InvalidLayout { reason } => write!(f, "invalid memory layout: {reason}"),
+            MachineError::Unbacked { addr, len } => write!(
+                f,
+                "physical range {addr:#x}+{len} is not backed by one buffer"
+            ),
             MachineError::InjectedFault {
                 addr,
                 write_index,
@@ -111,6 +133,13 @@ mod tests {
             MachineError::NotInSmm,
             MachineError::AlreadyInSmm,
             MachineError::SmramUnconfigured,
+            MachineError::InvalidLayout {
+                reason: "text overlaps start".into(),
+            },
+            MachineError::Unbacked {
+                addr: 0x3000,
+                len: 16,
+            },
             MachineError::InjectedFault {
                 addr: 0x2000,
                 write_index: 3,

@@ -225,7 +225,8 @@ impl InjectionState {
 
 /// A resumable copy of the complete machine state (memory, CPU, mode,
 /// clock), taken at the instant of an injected power loss or manually
-/// via [`Machine::snapshot`].
+/// via [`Machine::snapshot`]. Memory is sparse, so the copy holds the
+/// machine's written extents only.
 ///
 /// The model is a warm reset: RAM contents (including SMRAM and its
 /// lock) survive, the CPU restarts in Protected Mode with a cleared

@@ -1,5 +1,7 @@
 //! The standard physical memory layout of the simulated target machine.
 
+use crate::phys::PAGE_SIZE;
+
 /// Physical memory map used by the reproduction's target machine.
 ///
 /// Mirrors the shape of the paper's prototype: a normal kernel image low
@@ -74,14 +76,18 @@ impl MemLayout {
         l
     }
 
-    /// A compact 26 MB machine for fleet campaigns: same text and data
-    /// bases (and sizes) as [`MemLayout::standard`], so an image linked
-    /// for the standard layout boots unchanged — one shared link serves
-    /// every fleet machine — but the stack is halved and the reserved
-    /// region trimmed to 6 MB. A 64-machine campaign then holds dozens
-    /// of live machines without gigabytes of backing RAM, while the
-    /// reserved split (64 KiB `mem_RW`, ~2 MB `mem_W`, ~4 MB `mem_X`)
-    /// still fits realistic CVE-sized patches with room for history.
+    /// The 26 MB machine fleet campaigns boot: same text and data bases
+    /// (and sizes) as [`MemLayout::standard`], so an image linked for the
+    /// standard layout boots unchanged — one shared link serves every
+    /// fleet machine — with a halved stack and a 6 MB reserved region
+    /// (64 KiB `mem_RW`, ~2 MB `mem_W`, ~4 MB `mem_X`) that still fits
+    /// realistic CVE-sized patches with room for history.
+    ///
+    /// Memory is sparse ([`crate::PhysMemory`] backs written pages
+    /// only), so the layout no longer decides what a machine costs in
+    /// RAM. It is kept because machine state depends on it: the
+    /// reserved split, and with it every `mem_X` placement, state digest
+    /// and Merkle root of a fleet campaign, follows from these numbers.
     pub fn fleet() -> Self {
         Self {
             total: 0x01A0_0000,             // 26 MB
@@ -98,9 +104,13 @@ impl MemLayout {
         }
     }
 
-    /// Validate internal consistency (regions in bounds, non-overlapping,
-    /// in ascending order). Returns a description of the first problem.
+    /// Validate internal consistency (regions page-aligned, in bounds,
+    /// non-overlapping, in ascending order; total size page-aligned).
+    /// Returns a description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.total.is_multiple_of(PAGE_SIZE) {
+            return Err("total size is not page-aligned".to_string());
+        }
         let regions = [
             ("text", self.kernel_text_base, self.kernel_text_size),
             ("data", self.kernel_data_base, self.kernel_data_size),
@@ -111,6 +121,9 @@ impl MemLayout {
         let mut prev_end = 0u64;
         let mut prev_name = "start";
         for (name, base, size) in regions {
+            if !base.is_multiple_of(PAGE_SIZE) || !size.is_multiple_of(PAGE_SIZE) {
+                return Err(format!("{name} is not page-aligned"));
+            }
             if base < prev_end {
                 return Err(format!("{name} overlaps {prev_name}"));
             }
@@ -154,7 +167,7 @@ mod tests {
         assert_eq!(f.kernel_text_size, s.kernel_text_size);
         assert_eq!(f.kernel_data_base, s.kernel_data_base);
         assert_eq!(f.kernel_data_size, s.kernel_data_size);
-        // The point of the variant: materially cheaper per machine.
+        // Still the smaller machine every recorded fleet digest assumes.
         assert!(f.total <= s.total / 3 * 2, "fleet machine not compact");
     }
 
@@ -177,6 +190,19 @@ mod tests {
         let mut l = MemLayout::standard();
         l.kernel_data_base = l.kernel_text_base + 1;
         assert!(l.validate().is_err());
+    }
+
+    #[test]
+    fn validate_catches_unaligned_regions_and_total() {
+        let mut l = MemLayout::standard();
+        l.total += 1;
+        assert!(l.validate().unwrap_err().contains("total"));
+        let mut l = MemLayout::standard();
+        l.reserved_base += 8;
+        assert!(l.validate().unwrap_err().contains("reserved"));
+        let mut l = MemLayout::standard();
+        l.smram_size -= 1;
+        assert!(l.validate().unwrap_err().contains("smram"));
     }
 
     #[test]

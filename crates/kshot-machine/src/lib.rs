@@ -14,8 +14,9 @@
 //!    what lets KShot pause and resume the OS "for free" instead of
 //!    checkpointing.
 //!
-//! This crate simulates exactly that machine: a flat physical memory with
-//! a per-page attribute table ([`PageAttrs`]), a CPU register file
+//! This crate simulates exactly that machine: a sparse physical memory
+//! (only written pages are backed; see [`PhysMemory`]) with a per-page
+//! attribute table ([`PageAttrs`]), a CPU register file
 //! ([`CpuState`]), a locked SMRAM region, SMI entry / RSM exit with
 //! hardware state save ([`Machine::raise_smi`], [`Machine::rsm`]), and a
 //! simulated [`Clock`] driven by a [`CostModel`] calibrated against the

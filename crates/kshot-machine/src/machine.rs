@@ -123,13 +123,12 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns a [`MachineError`] if the layout is internally inconsistent.
+    /// [`MachineError::InvalidLayout`] if the layout is internally
+    /// inconsistent or not page-aligned.
     pub fn new(layout: MemLayout) -> Result<Self, MachineError> {
-        layout.validate().map_err(|_| MachineError::OutOfRange {
-            addr: layout.total,
-            len: 0,
-            mem_size: layout.total,
-        })?;
+        layout
+            .validate()
+            .map_err(|reason| MachineError::InvalidLayout { reason })?;
         let mut mem = PhysMemory::new(layout.total);
         mem.configure_smram(layout.smram_base, layout.smram_size)?;
         mem.lock_smram()?;
@@ -823,6 +822,16 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(MemLayout::standard()).unwrap()
+    }
+
+    #[test]
+    fn unaligned_layout_is_an_error_not_a_panic() {
+        let mut layout = MemLayout::standard();
+        layout.total = 48 * 1024 * 1024 + 1;
+        assert!(matches!(
+            Machine::new(layout),
+            Err(MachineError::InvalidLayout { .. })
+        ));
     }
 
     #[test]
