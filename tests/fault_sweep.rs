@@ -402,29 +402,31 @@ fn fresh_system(target: &kshot::fleet::CampaignTarget) -> KShot {
 fn text_digest(system: &KShot, target: &kshot::fleet::CampaignTarget) -> [u8; 32] {
     let phys = system.kernel().machine().phys();
     let text = phys
-        .slice(target.layout.kernel_text_base, target.image.text.len())
+        .bytes(target.layout.kernel_text_base, target.image.text.len())
         .expect("text segment in bounds");
-    kshot::crypto::sha256::sha256(text)
+    kshot::crypto::sha256::sha256(&text)
 }
 
 /// Digest of the machine's applied state: kernel text plus the occupied
 /// `mem_X` prefix up to the published placement cursor — the same
-/// regions the fleet's byte-identical check covers.
+/// regions the fleet's byte-identical check covers. Never-written gaps
+/// in the prefix hash as zeros.
 fn applied_digest(system: &KShot, target: &kshot::fleet::CampaignTarget) -> [u8; 32] {
     use kshot::core::reserved::rw_offsets;
     let phys = system.kernel().machine().phys();
     let reserved = system.reserved();
-    let cursor_bytes = phys
-        .slice(reserved.rw_base + rw_offsets::NEXT_PADDR, 8)
+    let mut cursor = [0u8; 8];
+    phys.read_raw(reserved.rw_base + rw_offsets::NEXT_PADDR, &mut cursor)
         .expect("published cursor in bounds");
-    let cursor = u64::from_le_bytes(cursor_bytes.try_into().expect("eight bytes"));
-    let used = cursor.saturating_sub(reserved.x_base).min(reserved.x_size);
+    let used = u64::from_le_bytes(cursor)
+        .saturating_sub(reserved.x_base)
+        .min(reserved.x_size);
     let placed = phys
-        .slice(reserved.x_base, used as usize)
+        .bytes(reserved.x_base, used as usize)
         .expect("occupied mem_X prefix in bounds");
     let mut acc = [0u8; 64];
     acc[..32].copy_from_slice(&text_digest(system, target));
-    acc[32..].copy_from_slice(&kshot::crypto::sha256::sha256(placed));
+    acc[32..].copy_from_slice(&kshot::crypto::sha256::sha256(&placed));
     kshot::crypto::sha256::sha256(&acc)
 }
 
